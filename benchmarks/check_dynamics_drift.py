@@ -3,10 +3,16 @@
 The golden JSON fixtures under ``tests/scenarios/golden/`` pin the full
 epoch trajectories (every record field, bit-exact floats) of the paper's
 two Section V schemes on a small fixed-seed Zipf population — foundation
-unravels, role-based sharing stabilizes.  This script re-runs the
-streamed driver and fails if any byte of the payload diverges, so a
-refactor of the chunked kernels can't silently change the paper's
-conclusions.  Exits non-zero on divergence (fails the CI job).
+unravels, role-based sharing stabilizes.  A second, churned run
+(``population_dynamics_churn_*.json``: 10% of stakes resampled per
+epoch over 12 epochs) pins the stake state carried across epochs and
+chunk seams.  Its gentler replicator (intensity 0.5) keeps the
+role-based crowd mixed, so the churned stakes move that scheme's payoff
+means in every epoch; under foundation, blocks fail from epoch 1 on and
+payoffs no longer depend on stake.  This script re-runs the streamed
+driver and fails if any byte of a payload diverges, so a refactor of
+the chunked kernels can't silently change the paper's conclusions.
+Exits non-zero on divergence (fails the CI job).
 
 Run from the repo root::
 
@@ -29,9 +35,9 @@ _GOLDEN_DIR = _REPO_ROOT / "tests" / "scenarios" / "golden"
 SCHEMES = ("foundation", "role_based")
 
 
-def golden_path(scheme: str) -> Path:
+def golden_path(scheme: str, variant: str = "") -> Path:
     """Fixture location for one scheme's pinned trajectory."""
-    return _GOLDEN_DIR / f"population_dynamics_{scheme}.json"
+    return _GOLDEN_DIR / f"population_dynamics_{variant}{scheme}.json"
 
 
 def golden_spec():
@@ -53,11 +59,25 @@ def golden_spec():
     )
 
 
-def compute_payload(scheme: str) -> str:
-    """The scheme's trajectory payload, serialized canonically."""
+def golden_specs():
+    """Every pinned run, keyed by its fixture-name variant prefix."""
+    base = golden_spec()
+    return {
+        "": base,
+        "churn_": base.with_overrides(
+            name="golden-churn",
+            churn_rate=0.1,
+            n_epochs=12,
+            replicator_intensity=0.5,
+        ),
+    }
+
+
+def compute_payload(spec, scheme: str) -> str:
+    """One run's trajectory payload, serialized canonically."""
     from repro.scenarios.population_dynamics import run_population_dynamics
 
-    payload = run_population_dynamics(golden_spec(), scheme).to_payload()
+    payload = run_population_dynamics(spec, scheme).to_payload()
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -73,9 +93,14 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
     failed = False
-    for scheme in SCHEMES:
-        path = golden_path(scheme)
-        current = compute_payload(scheme)
+    runs = [
+        (variant, spec, scheme)
+        for variant, spec in golden_specs().items()
+        for scheme in SCHEMES
+    ]
+    for variant, spec, scheme in runs:
+        path = golden_path(scheme, variant)
+        current = compute_payload(spec, scheme)
         if args.write:
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(current)
@@ -87,13 +112,13 @@ def main(argv=None) -> int:
             continue
         if path.read_text() != current:
             print(
-                f"FAIL: {scheme} trajectory diverged from {path.name} — the "
+                f"FAIL: {path.stem} trajectory diverged from {path.name} — the "
                 "streamed dynamics semantics changed; if intentional, bump "
                 "CAMPAIGN_VERSION and regenerate with --write"
             )
             failed = True
         else:
-            print(f"OK: {scheme} trajectory matches {path.name}")
+            print(f"OK: {path.stem} trajectory matches {path.name}")
     if failed:
         return 1
     if not args.write:

@@ -5,7 +5,8 @@ evolutionary layer:
 
 * **chunk equivalence** — any ``chunk_agents`` (including pathological
   values like 1 and 7 that split every seed block) yields byte-identical
-  epoch trajectories,
+  epoch trajectories, with and without stake churn (whose stakes are
+  carried from epoch to epoch chunk by chunk),
 * **simplex conservation** — every epoch record partitions the
   population exactly (cooperating + defecting + offline == players),
 * **payoff-monotone share growth** — ``replicator_step`` moves the share
@@ -37,7 +38,14 @@ from repro.scenarios.population_dynamics import (
 _CHUNK_SIZES = (1, 7, 64, 8192, 16_384)
 
 
-def _spec(seed: int, update_rule: str, chunk_agents) -> PopulationDynamicsSpec:
+#: Churn off, and heavy enough that every chunk resamples stakes in
+#: every one of the six epochs.
+_CHURN_RATES = (0.0, 0.3)
+
+
+def _spec(
+    seed: int, update_rule: str, chunk_agents, churn_rate: float = 0.0
+) -> PopulationDynamicsSpec:
     return PopulationDynamicsSpec(
         name="chunk-equivalence",
         population=PopulationSpec(
@@ -47,8 +55,9 @@ def _spec(seed: int, update_rule: str, chunk_agents) -> PopulationDynamicsSpec:
             cooperation=0.85,
             seed=seed,
         ),
-        n_epochs=4,
+        n_epochs=6,
         update_rule=update_rule,
+        churn_rate=churn_rate,
         n_leaders=3,
         committee_size=8,
         chunk_agents=chunk_agents,
@@ -56,28 +65,33 @@ def _spec(seed: int, update_rule: str, chunk_agents) -> PopulationDynamicsSpec:
 
 
 @functools.lru_cache(maxsize=None)
-def _reference_payload(seed: int, update_rule: str, scheme: str) -> str:
+def _reference_payload(
+    seed: int, update_rule: str, scheme: str, churn_rate: float
+) -> str:
     """The monolithic (single-chunk) trajectory, serialized canonically."""
-    trajectory = run_population_dynamics(_spec(seed, update_rule, None), scheme)
+    trajectory = run_population_dynamics(
+        _spec(seed, update_rule, None, churn_rate), scheme
+    )
     return json.dumps(trajectory.to_payload(), sort_keys=True)
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=16, deadline=None)
 @given(
     chunk_agents=st.sampled_from(_CHUNK_SIZES),
     scheme=st.sampled_from(["foundation", "role_based"]),
     update_rule=st.sampled_from(["replicator", "best_response"]),
+    churn_rate=st.sampled_from(_CHURN_RATES),
     seed=st.integers(min_value=0, max_value=2),
 )
 def test_epoch_records_are_byte_identical_at_any_chunk_size(
-    chunk_agents, scheme, update_rule, seed
+    chunk_agents, scheme, update_rule, churn_rate, seed
 ):
     """Chunked trajectory payloads equal the monolithic payload, bitwise."""
     trajectory = run_population_dynamics(
-        _spec(seed, update_rule, chunk_agents), scheme
+        _spec(seed, update_rule, chunk_agents, churn_rate), scheme
     )
     payload = json.dumps(trajectory.to_payload(), sort_keys=True)
-    assert payload == _reference_payload(seed, update_rule, scheme)
+    assert payload == _reference_payload(seed, update_rule, scheme, churn_rate)
 
 
 @settings(max_examples=10, deadline=None)

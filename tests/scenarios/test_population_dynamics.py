@@ -106,10 +106,8 @@ class TestSpecValidation:
 class TestGoldenTrajectories:
     """Refactors cannot silently change the Section V conclusions."""
 
-    @pytest.mark.parametrize("scheme", ["foundation", "role_based"])
-    def test_golden_replay_is_bit_identical(self, scheme):
-        golden_path = _GOLDEN_DIR / f"population_dynamics_{scheme}.json"
-        golden = golden_path.read_text()
+    @staticmethod
+    def _golden_spec(variant: str) -> PopulationDynamicsSpec:
         spec = PopulationDynamicsSpec(
             name="golden",
             population=PopulationSpec(
@@ -122,6 +120,20 @@ class TestGoldenTrajectories:
             n_epochs=8,
             chunk_agents=8_192,
         )
+        if variant == "churn_":
+            spec = spec.with_overrides(
+                name="golden-churn",
+                churn_rate=0.1,
+                n_epochs=12,
+                replicator_intensity=0.5,
+            )
+        return spec
+
+    @staticmethod
+    def _replay(variant: str, scheme: str) -> None:
+        golden_path = _GOLDEN_DIR / f"population_dynamics_{variant}{scheme}.json"
+        golden = golden_path.read_text()
+        spec = TestGoldenTrajectories._golden_spec(variant)
         replayed = (
             json.dumps(
                 run_population_dynamics(spec, scheme).to_payload(),
@@ -131,6 +143,15 @@ class TestGoldenTrajectories:
             + "\n"
         )
         assert replayed == golden
+
+    @pytest.mark.parametrize("scheme", ["foundation", "role_based"])
+    def test_golden_replay_is_bit_identical(self, scheme):
+        self._replay("", scheme)
+
+    @pytest.mark.parametrize("scheme", ["foundation", "role_based"])
+    def test_churned_golden_replay_is_bit_identical(self, scheme):
+        """Churned stakes carried across 12 epochs replay bit for bit."""
+        self._replay("churn_", scheme)
 
     def test_goldens_pin_the_paper_verdicts(self):
         foundation = json.loads(
