@@ -6,8 +6,11 @@ under the paper's two Section V schemes, measuring epoch throughput
 (agent-epochs/second) and peak RSS, and re-checks the acceptance
 invariants: the trajectories are byte-identical across chunk sizes, the
 foundation scheme unravels toward All-D, and role-based sharing keeps
-cooperation stable with blocks produced.  Each size runs in a fresh
-subprocess so its peak RSS is honest (``ru_maxrss`` is a process
+cooperation stable with blocks produced.  One more row evolves a churned
+population over a long horizon (3x10^5 agents, 5% of stakes resampled
+per epoch, 50 epochs, role-based), where a churn implementation that
+redrew earlier rounds would show as super-linear time.  Each row runs in
+a fresh subprocess so its peak RSS is honest (``ru_maxrss`` is a process
 lifetime maximum).  Results land in ``BENCH_dynamics.json`` at the repo
 root.
 
@@ -27,6 +30,7 @@ import platform
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import Dict, List
 
@@ -44,8 +48,20 @@ EPOCHS = 20
 SEED = 2021
 SCHEMES = ("foundation", "role_based")
 
+#: The long-horizon churn row.
+CHURN_SIZE = 300_000
+CHURN_RATE = 0.05
+CHURN_EPOCHS = 50
+CHURN_SCHEME = "role_based"
 
-def _dynamics_spec(size: int, chunk_agents, epochs: int = EPOCHS):
+#: The churn row's elapsed time when every pass replayed churn rounds
+#: 1..e (commit adb2fb9), measured on the same machine as the row.
+REPLAY_ELAPSED_S = 147.1
+
+
+def _dynamics_spec(
+    size: int, chunk_agents, epochs: int = EPOCHS, churn_rate: float = 0.0
+):
     """The benchmark's dynamics spec at one population size."""
     from repro.populations import PopulationSpec
     from repro.scenarios.population_dynamics import PopulationDynamicsSpec
@@ -60,6 +76,7 @@ def _dynamics_spec(size: int, chunk_agents, epochs: int = EPOCHS):
             seed=SEED,
         ),
         n_epochs=epochs,
+        churn_rate=churn_rate,
         chunk_agents=chunk_agents,
     )
 
@@ -96,16 +113,42 @@ def _child_payload(size: int, chunk_agents: int) -> Dict[str, object]:
     }
 
 
-def _run_child(size: int, chunk_agents: int) -> Dict[str, object]:
-    """Measure one size in a fresh subprocess (honest per-size peak RSS)."""
+def _churn_child_payload(chunk_agents: int) -> Dict[str, object]:
+    """Run the long-horizon churn row in-process; return its payload."""
+    from repro.scenarios.population_dynamics import run_population_dynamics
+
+    spec = _dynamics_spec(
+        CHURN_SIZE, chunk_agents, epochs=CHURN_EPOCHS, churn_rate=CHURN_RATE
+    )
+    started = time.perf_counter()
+    trajectory = run_population_dynamics(spec, CHURN_SCHEME)
+    elapsed = time.perf_counter() - started
+    final = trajectory.records[-1]
+    return {
+        "n_agents": CHURN_SIZE,
+        "n_epochs": CHURN_EPOCHS,
+        "churn_rate": CHURN_RATE,
+        "scheme": CHURN_SCHEME,
+        "elapsed_s": elapsed,
+        "replay_elapsed_s": REPLAY_ELAPSED_S,
+        "peak_rss_mb": (
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        ),
+        "agent_epochs_per_second": CHURN_SIZE * CHURN_EPOCHS / elapsed,
+        "final_defection": final.defection_share,
+        "final_block": final.block_success,
+    }
+
+
+def _run_child(*args: str) -> Dict[str, object]:
+    """Run this script's child entry in a fresh subprocess (honest RSS)."""
     env = dict(os.environ)
     src = str(_REPO_ROOT / "src")
     env["PYTHONPATH"] = src + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     completed = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child", str(size),
-         "--chunk-agents", str(chunk_agents)],
+        [sys.executable, str(Path(__file__).resolve()), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -138,9 +181,12 @@ def run_benchmark(sizes=DEFAULT_SIZES, chunk_agents: int = CHUNK_AGENTS) -> Dict
     rows: List[Dict[str, object]] = []
     snapshots: List[Dict[str, object]] = []
     for size in sizes:
-        row = _run_child(size, chunk_agents)
+        row = _run_child(
+            "--child", str(size), "--chunk-agents", str(chunk_agents)
+        )
         snapshots.append(row.pop("telemetry"))
         rows.append(row)
+    churn_row = _run_child("--churn-child", "--chunk-agents", str(chunk_agents))
     payload = {
         "benchmark": "population-dynamics-streamed-epochs",
         "date": datetime.date.today().isoformat(),
@@ -155,7 +201,12 @@ def run_benchmark(sizes=DEFAULT_SIZES, chunk_agents: int = CHUNK_AGENTS) -> Dict
             f"{chunk_agents}, cooperation seeded at 0.9.  Peak RSS is "
             "per-size (fresh subprocess per size) and stays O(chunk) while "
             "population size grows.  chunk_invariance_at_20k asserts the "
-            "trajectories are byte-identical at four chunk sizes."
+            "trajectories are byte-identical at four chunk sizes.  "
+            f"churn_long_horizon evolves {CHURN_SIZE} agents with churn "
+            f"{CHURN_RATE} over {CHURN_EPOCHS} epochs under {CHURN_SCHEME} "
+            "with stakes carried from epoch to epoch; replay_elapsed_s is "
+            "the same row when every pass replayed churn rounds 1..e "
+            "(commit adb2fb9, same machine)."
         ),
         "family": FAMILY,
         "family_params": FAMILY_PARAMS,
@@ -163,6 +214,7 @@ def run_benchmark(sizes=DEFAULT_SIZES, chunk_agents: int = CHUNK_AGENTS) -> Dict
         "schemes": list(SCHEMES),
         "chunk_invariance_at_20k": _chunk_invariance(),
         "sizes": rows,
+        "churn_long_horizon": churn_row,
         "telemetry": merge_snapshots(snapshots),
     }
     _BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
@@ -187,6 +239,13 @@ def _format_report(payload: Dict[str, object]) -> str:
             f"{schemes['foundation']['final_defection']:>13.3f}  "
             f"{schemes['role_based']['final_defection']:>13.3f}"
         )
+    churn = payload["churn_long_horizon"]
+    lines.append(
+        f"churned {churn['n_agents']:,} agents x {churn['n_epochs']} epochs "
+        f"({churn['scheme']}, churn {churn['churn_rate']}): "
+        f"{churn['elapsed_s']:.2f} s, peak RSS {churn['peak_rss_mb']:.0f} MB "
+        f"(replaying churn: {churn['replay_elapsed_s']} s)"
+    )
     lines.append(
         f"byte-identical across chunk sizes at 2*10^4: "
         f"{payload['chunk_invariance_at_20k']}"
@@ -209,6 +268,8 @@ def test_bench_population_dynamics(report):
     assert largest["peak_rss_mb"] < 248, (
         "peak RSS left the O(chunk) envelope — the streaming contract broke"
     )
+    # The churn spill lives on disk: a churned run stays in the envelope.
+    assert payload["churn_long_horizon"]["peak_rss_mb"] < 248
     report(_format_report(payload))
 
 
@@ -217,12 +278,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--child", type=int, default=None,
                         help="internal: run one size in-process, print JSON")
+    parser.add_argument("--churn-child", action="store_true",
+                        help="internal: run the churn row in-process, print JSON")
     parser.add_argument("--sizes", default=",".join(str(s) for s in DEFAULT_SIZES),
                         help="comma-separated population sizes to sweep")
     parser.add_argument("--chunk-agents", type=int, default=CHUNK_AGENTS)
     args = parser.parse_args(argv)
     if args.child is not None:
         json.dump(_child_payload(args.child, args.chunk_agents), sys.stdout)
+        return 0
+    if args.churn_child:
+        json.dump(_churn_child_payload(args.chunk_agents), sys.stdout)
         return 0
     sizes = tuple(int(token) for token in args.sizes.split(","))
     payload = run_benchmark(sizes, args.chunk_agents)

@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
@@ -115,12 +116,14 @@ class PopulationSpec:
 
     # -- identity ------------------------------------------------------------
 
+    @cached_property
     def _identity(self) -> str:
         """The draw-determining fields, canonically encoded (dtype excluded).
 
         The dtype is storage, not randomness: a float32 spec draws the
         same float64 stream and casts, so it shares the seed tree with
-        its float64 twin.
+        its float64 twin.  Encoded once per spec: every
+        :meth:`block_rng` call embeds it in its seed label.
         """
         return _canonical(
             {
@@ -135,7 +138,7 @@ class PopulationSpec:
     def cache_key(self) -> str:
         """Content hash identifying this spec (dtype included) in caches."""
         payload = _canonical(
-            {"identity": self._identity(), "dtype": self.dtype, "seed": self.seed}
+            {"identity": self._identity, "dtype": self.dtype, "seed": self.seed}
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -192,7 +195,7 @@ class PopulationSpec:
         same tree so their draws are chunk-stable too and never perturb
         the population's.
         """
-        label = f"population:{self._identity()}:block:{block_index}:{column}"
+        label = f"population:{self._identity}:block:{block_index}:{column}"
         return np.random.default_rng(derive_seed(self.seed, label))
 
     def chunk_draws(

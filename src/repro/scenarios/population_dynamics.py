@@ -26,10 +26,13 @@ streaming substrate:
    by exact synchronous best response in both update modes (they are the
    mechanism's performers; their incentives, not the crowd means, are what
    separates the schemes).
-3. **Stake churn** (optional) replays per-epoch resampling draws from the
+3. **Stake churn** (optional) resamples stakes once per epoch from the
    population's seed-block tree (any generator family, including the
    ``exchange_snapshot`` bootstrap), with the selected agents' stakes
    pinned so the epoch-0 calibration and quorum threshold stay exact.
+   The churned stakes are carried from epoch to epoch in a disk spill
+   (8 bytes per agent), so each churn round is drawn once: O(epochs)
+   draws per chunk, in O(chunk) memory.
 
 Counterfactual (unilateral-deviation) crowd fitness is the load-bearing
 choice: both schemes pay crowd *defectors* from stake-proportional pools,
@@ -47,10 +50,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import tempfile
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
+    IO,
     Any,
     Callable,
     Dict,
@@ -272,6 +278,42 @@ class PopulationDynamicsSpec:
 # -- the streamed engine ------------------------------------------------------
 
 
+class _StakeCarry:
+    """Every agent's churned stake, carried from one epoch to the next.
+
+    One float64 column for the whole population lives in an anonymous
+    temp file; each chunk reads and writes its own slice at byte offset
+    ``offset * 8`` with explicit file I/O.  RAM stays O(chunk) and disk
+    is 8 bytes per agent (pages touched through ``np.memmap`` would
+    count toward the process's resident high-water mark instead).  A
+    per-chunk tag records which epoch's stakes the spill holds; chunks
+    not yet churned hold epoch 0, the population's own stakes.
+    """
+
+    def __init__(self) -> None:
+        self._file: IO[bytes] = tempfile.TemporaryFile()
+        self._held: Dict[int, int] = {}
+
+    def held_epoch(self, chunk: PopulationArrays) -> int:
+        """The epoch whose stakes the spill holds for ``chunk``."""
+        return self._held.get(chunk.offset, 0)
+
+    def read(self, chunk: PopulationArrays) -> np.ndarray:
+        """The chunk's stakes at its held epoch (>= 1)."""
+        self._file.seek(chunk.offset * 8)
+        return np.fromfile(self._file, dtype=np.float64, count=chunk.n_agents)
+
+    def write(self, chunk: PopulationArrays, stake: np.ndarray, epoch: int) -> None:
+        """Store the chunk's stakes at ``epoch`` and advance its tag."""
+        self._file.seek(chunk.offset * 8)
+        stake.tofile(self._file)
+        self._held[chunk.offset] = epoch
+
+    def close(self) -> None:
+        """Release the spill file (idempotent)."""
+        self._file.close()
+
+
 @dataclass
 class _Engine:
     """Per-run constants shared by every pass of one dynamics run."""
@@ -287,11 +329,17 @@ class _Engine:
     n_sync: int  # strong-synchrony crowd agents
     n_nonsync: int
     churn_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]]
+    carry: Optional[_StakeCarry]  # churned stakes; None without churn
 
     @property
     def table(self):
         """The scheme's expanded pool tables."""
         return self.structure.tables[self.scheme_name]
+
+    def close(self) -> None:
+        """Release the churn spill, if the run has one."""
+        if self.carry is not None:
+            self.carry.close()
 
 
 @dataclass
@@ -333,11 +381,13 @@ def _build_engine(
         [structure.costs.leader, structure.costs.committee, structure.costs.online]
     )
     churn_sampler = None
+    carry = None
     if spec.churn_rate > 0.0:
         churn_sampler = resolve_sampler(
             spec.churn_family or pop.family,
             spec.churn_params or pop.params,
         )
+        carry = _StakeCarry()
     return _Engine(
         spec=spec,
         config=config,
@@ -356,6 +406,7 @@ def _build_engine(
         n_sync=n_sync,
         n_nonsync=n_crowd - n_sync,
         churn_sampler=churn_sampler,
+        carry=carry,
     )
 
 
@@ -388,36 +439,43 @@ def _thresholds(engine: _Engine, share: float) -> Tuple[float, float]:
     return p_nonsync, p_sync
 
 
-def _churned_stake(engine: _Engine, chunk: PopulationArrays, epoch: int) -> np.ndarray:
-    """The chunk's stakes after replaying ``epoch`` churn rounds.
+def _epoch_stake(engine: _Engine, chunk: PopulationArrays, epoch: int) -> np.ndarray:
+    """The chunk's stakes at ``epoch``, advancing the churn carry.
 
-    Each round resamples every agent independently with probability
-    ``churn_rate`` from the churn family, with position-preserving
-    ``np.where`` updates (chunk-stable).  Selected agents' stakes are
-    pinned to their epoch-0 values so the calibration, pool structure
-    and quorum threshold stay exact.  The cumulative replay is O(epoch)
-    draws per chunk — fine for the tens of epochs dynamics runs use.
+    A measure pass asks for the epoch after the one the carry holds and
+    applies exactly one churn round to it: every agent is resampled
+    independently with probability ``churn_rate`` from the churn family
+    by a position-preserving ``np.where`` (chunk-stable), then the
+    selected agents are pinned to their epoch-0 stakes so the
+    calibration, pool structure and quorum threshold stay exact.  The
+    update pass replays the held epoch and draws nothing.  Any other
+    request is an ordering bug and raises.
     """
-    stake = chunk.stake64()
-    if engine.spec.churn_rate <= 0.0 or epoch == 0:
+    carry = engine.carry
+    if carry is None:
+        return chunk.stake64()
+    held = carry.held_epoch(chunk)
+    if epoch not in (held, held + 1):
+        raise RuntimeError(
+            f"churn carry holds epoch {held} for the chunk at agent "
+            f"{chunk.offset}; epoch {epoch} is neither that nor the next"
+        )
+    stake = chunk.stake64() if held == 0 else carry.read(chunk)
+    if epoch == held:
         return stake
     pop = engine.spec.population
     sampler = engine.churn_sampler
     assert sampler is not None
-    for round_index in range(1, epoch + 1):
-        selector = pop.chunk_draws(
-            chunk.offset,
-            chunk.n_agents,
-            f"{_CHURN_SELECT_COLUMN}.{round_index}",
-            lambda rng, n: rng.random(n),
-        )
-        fresh = pop.chunk_draws(
-            chunk.offset,
-            chunk.n_agents,
-            f"{_CHURN_STAKE_COLUMN}.{round_index}",
-            sampler,
-        ).astype(np.float64, copy=False)
-        stake = np.where(selector < engine.spec.churn_rate, fresh, stake)
+    selector = pop.chunk_draws(
+        chunk.offset,
+        chunk.n_agents,
+        f"{_CHURN_SELECT_COLUMN}.{epoch}",
+        lambda rng, n: rng.random(n),
+    )
+    fresh = pop.chunk_draws(
+        chunk.offset, chunk.n_agents, f"{_CHURN_STAKE_COLUMN}.{epoch}", sampler
+    ).astype(np.float64, copy=False)
+    stake = np.where(selector < engine.spec.churn_rate, fresh, stake)
     if not np.all(np.isfinite(stake)) or float(stake.min()) <= 0.0:
         raise ConfigurationError(
             "churn family produced non-positive or non-finite stakes"
@@ -428,6 +486,7 @@ def _churned_stake(engine: _Engine, chunk: PopulationArrays, epoch: int) -> np.n
     )
     local = structure.selected_index[in_chunk] - chunk.offset
     stake[local] = structure.selected_stake[in_chunk]
+    carry.write(chunk, stake, epoch)
     return stake
 
 
@@ -451,7 +510,7 @@ def _epoch_context(
     structure = engine.structure
     pop = engine.spec.population
     ctx = _chunk_context(
-        structure, pop, chunk, stake=_churned_stake(engine, chunk, epoch)
+        structure, pop, chunk, stake=_epoch_stake(engine, chunk, epoch)
     )
     if thresholds is not None:
         uniforms = pop.chunk_draws(
@@ -805,14 +864,12 @@ def run_population_dynamics(
     """
     resolved = resolve_scheme(scheme)
     structure = _build_structure([resolved], spec.population, spec.audit_config())
-    engine = _build_engine(spec, resolved.name, structure)
-    sel_action = np.zeros(engine.config.n_selected, dtype=np.int8)
+    sel_action = np.zeros(structure.config.n_selected, dtype=np.int8)
     crowd_behavior = (
         np.zeros(spec.population.size, dtype=np.int8)
         if spec.update_rule == "best_response"
         else None
     )
-    share = _initial_share(spec, engine)
     trajectory = ScenarioTrajectory(
         scenario=spec.name,
         scheme=resolved.name,
@@ -833,9 +890,12 @@ def run_population_dynamics(
         "Streamed dynamics epochs evolved",
         labels=("scheme",),
     )
-    with span(
+    engine = _build_engine(spec, resolved.name, structure)
+    # closing() releases the churn spill however the run ends.
+    with closing(engine), span(
         "dynamics.run", agents=spec.population.size, epochs=spec.n_epochs
     ):
+        share = _initial_share(spec, engine)
         thresholds: Optional[Tuple[float, float]] = _thresholds(engine, share)
         aggregates = _measure_pass(
             engine, 0, thresholds, sel_action, None, store_behavior=crowd_behavior
@@ -869,6 +929,48 @@ def run_population_dynamics(
 
 
 # -- the in-memory oracle -----------------------------------------------------
+
+
+def _replayed_stake(engine: _Engine, chunk: PopulationArrays, epoch: int) -> np.ndarray:
+    """The chunk's stakes at ``epoch``, replaying churn rounds 1..epoch.
+
+    The oracle's own reference for the carried churn state: it redraws
+    every round from scratch with the same columns and the same
+    position-preserving ``np.where`` updates, then pins the selected
+    agents once, sharing no state with :func:`_epoch_stake`.  O(epoch)
+    draws per call, so O(epochs^2) over a run — fine at oracle sizes.
+    """
+    stake = chunk.stake64()
+    if engine.spec.churn_rate <= 0.0 or epoch == 0:
+        return stake
+    pop = engine.spec.population
+    sampler = engine.churn_sampler
+    assert sampler is not None
+    for round_index in range(1, epoch + 1):
+        selector = pop.chunk_draws(
+            chunk.offset,
+            chunk.n_agents,
+            f"{_CHURN_SELECT_COLUMN}.{round_index}",
+            lambda rng, n: rng.random(n),
+        )
+        fresh = pop.chunk_draws(
+            chunk.offset,
+            chunk.n_agents,
+            f"{_CHURN_STAKE_COLUMN}.{round_index}",
+            sampler,
+        ).astype(np.float64, copy=False)
+        stake = np.where(selector < engine.spec.churn_rate, fresh, stake)
+    if not np.all(np.isfinite(stake)) or float(stake.min()) <= 0.0:
+        raise ConfigurationError(
+            "churn family produced non-positive or non-finite stakes"
+        )
+    structure = engine.structure
+    in_chunk = (structure.selected_index >= chunk.offset) & (
+        structure.selected_index < chunk.offset + chunk.n_agents
+    )
+    local = structure.selected_index[in_chunk] - chunk.offset
+    stake[local] = structure.selected_stake[in_chunk]
+    return stake
 
 
 def oracle_population_dynamics(
@@ -919,6 +1021,7 @@ def oracle_population_dynamics(
     config = spec.audit_config()
     structure = _build_structure([resolved], pop, config)
     engine = _build_engine(spec, resolved.name, structure)
+    engine.close()  # churn is replayed by _replayed_stake, not carried
     population = pop.materialize()
     n = population.n_agents
     base_ctx = _chunk_context(structure, pop, population)
@@ -967,7 +1070,7 @@ def oracle_population_dynamics(
 
     share = _initial_share(spec, engine)
     sel_actions = {j: Strategy.COOPERATE for j in selected}
-    game = build_game(_churned_stake(engine, population, 0))
+    game = build_game(_replayed_stake(engine, population, 0))
     profile = realize(0, share, sel_actions)
     trajectory = ScenarioTrajectory(
         scenario=spec.name,
@@ -996,14 +1099,14 @@ def oracle_population_dynamics(
                 mutation=spec.replicator_mutation,
             )
             sel_actions = dict(responses)
-            game = build_game(_churned_stake(engine, population, epoch))
+            game = build_game(_replayed_stake(engine, population, epoch))
             profile = realize(epoch, share, sel_actions)
         else:
             revised = dict(
                 synchronous_best_responses(game, profile, list(range(n)))
             )
             revised.update(responses)
-            game = build_game(_churned_stake(engine, population, epoch))
+            game = build_game(_replayed_stake(engine, population, epoch))
             profile = revised
         trajectory.records.append(_measure(epoch, game, profile, None))
     return trajectory

@@ -2,8 +2,10 @@
 
 Spec validation and round-trips, the golden-trajectory replay contract
 (Section V's conclusions are pinned bit-exactly), stake churn with
-selected-agent pinning, the campaign/orchestrator integration, and the
-``repro-runner dynamics`` experiment surface.
+selected-agent pinning, the carried churn state against the oracle's
+cumulative replay (and its spill file's lifetime), the
+campaign/orchestrator integration, and the ``repro-runner dynamics``
+experiment surface.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.populations import PopulationSpec
+from repro.populations import SEED_BLOCK, PopulationSpec
+from repro.scenarios import population_dynamics
 from repro.scenarios.population_dynamics import (
     UPDATE_RULES,
     PopulationDynamicsSpec,
@@ -24,6 +27,8 @@ from repro.scenarios.population_dynamics import (
     run_population_dynamics,
     run_population_dynamics_campaign,
 )
+from repro.schemes.population_audit import _build_structure, _chunks
+from repro.schemes.registry import resolve_scheme
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -235,6 +240,90 @@ class TestEngineBehavior:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigurationError):
             run_population_dynamics(_spec(), "no-such-scheme")
+
+
+class TestChurnCarry:
+    """Churn carried epoch to epoch equals the oracle's full replay."""
+
+    @staticmethod
+    def _churned(**overrides) -> PopulationDynamicsSpec:
+        settings = {
+            "population": _population(size=2 * SEED_BLOCK + 700, seed=5),
+            "churn_rate": 0.2,
+            "chunk_agents": SEED_BLOCK,
+        }
+        settings.update(overrides)
+        return _spec(**settings)
+
+    @staticmethod
+    def _record_spills(monkeypatch):
+        opened = []
+        real = population_dynamics.tempfile.TemporaryFile
+
+        def recording(*args, **kwargs):
+            handle = real(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr(
+            population_dynamics.tempfile, "TemporaryFile", recording
+        )
+        return opened
+
+    def test_carried_stakes_equal_the_replay_for_60_epochs(self):
+        spec = self._churned(n_epochs=60)
+        structure = _build_structure(
+            [resolve_scheme("role_based")], spec.population, spec.audit_config()
+        )
+        engine = population_dynamics._build_engine(spec, "role_based", structure)
+        chunks = list(_chunks(spec.population, engine.config))
+        assert len(chunks) == 3
+        try:
+            for epoch in range(1, spec.n_epochs + 1):
+                for chunk in chunks:
+                    measured = population_dynamics._epoch_stake(engine, chunk, epoch)
+                    replayed = population_dynamics._replayed_stake(
+                        engine, chunk, epoch
+                    )
+                    assert measured.tobytes() == replayed.tobytes()
+                    # The update pass re-reads the held epoch unchanged.
+                    held = population_dynamics._epoch_stake(engine, chunk, epoch)
+                    assert held.tobytes() == measured.tobytes()
+            with pytest.raises(RuntimeError, match="neither"):
+                population_dynamics._epoch_stake(engine, chunks[0], spec.n_epochs + 2)
+            with pytest.raises(RuntimeError, match="neither"):
+                population_dynamics._epoch_stake(engine, chunks[0], spec.n_epochs - 1)
+        finally:
+            engine.close()
+
+    def test_the_spill_is_closed_after_a_run(self, monkeypatch):
+        opened = self._record_spills(monkeypatch)
+        run_population_dynamics(self._churned(n_epochs=3), "role_based")
+        assert len(opened) == 1
+        assert opened[0].closed
+        run_population_dynamics(_spec(n_epochs=2), "role_based")
+        assert len(opened) == 1  # churn-free runs keep no spill
+
+    def test_the_spill_is_closed_when_the_run_raises(self, monkeypatch):
+        spec = self._churned(n_epochs=4)
+        opened = self._record_spills(monkeypatch)
+        draws = []
+
+        def failing_after_two_rounds(rng, n):
+            draws.append(n)
+            sign = 1.0 if len(draws) <= 2 * spec.population.n_blocks else -1.0
+            return sign * (1.0 + rng.random(n))
+
+        monkeypatch.setattr(
+            population_dynamics,
+            "resolve_sampler",
+            lambda family, params: failing_after_two_rounds,
+        )
+        with pytest.raises(ConfigurationError, match="non-positive"):
+            run_population_dynamics(spec, "role_based")
+        assert len(draws) > 2 * spec.population.n_blocks  # failed in round 3
+        assert len(opened) == 1
+        assert opened[0].closed
 
 
 class TestCampaign:
