@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -353,3 +356,34 @@ class TestGridAudit:
         )
         assert grid.budget_multipliers == (1.5, 1.0)
         assert grid.cost_scales == (2.0, 1.0)
+
+
+def _audit_drift_script():
+    """The CI drift guard, loaded as a module (it owns the pinned runs)."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "check_audit_drift.py"
+    loader_spec = importlib.util.spec_from_file_location("check_audit_drift", path)
+    module = importlib.util.module_from_spec(loader_spec)
+    loader_spec.loader.exec_module(module)
+    return module
+
+
+class TestAuditGoldens:
+    """Every grid cell's gain bits replay against the committed goldens."""
+
+    @pytest.mark.parametrize("variant", ["theorem3", "population"])
+    def test_golden_grid_replay_is_bit_identical(self, variant):
+        script = _audit_drift_script()
+        golden = script.golden_path(variant).read_text()
+        assert script.compute_payload(variant) == golden
+
+    def test_goldens_pin_the_paper_verdicts(self):
+        script = _audit_drift_script()
+        payload = json.loads(script.golden_path("theorem3").read_text())
+        cells = payload["runs"][0]["cells"]
+        at_bound = {
+            c["scheme"]: c["certified"]
+            for c in cells
+            if c["budget_multiplier"] == 1.0 and c["cost_scale"] == 1.0
+        }
+        assert at_bound["role_based"] is True
+        assert at_bound["foundation"] is False
