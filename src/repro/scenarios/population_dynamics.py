@@ -92,6 +92,7 @@ from repro.schemes.population_audit import (
     _chunk_context,
     _chunks,
     _ChunkContext,
+    _pool_payments,
     _pool_weights,
     _Structure,
 )
@@ -566,10 +567,7 @@ def _measure_pass(
         weights = _pool_weights(
             table, ctx.stake, ctx.cost_multiplier, ctx.roles, engine.cost_vec
         )
-        member = np.empty((P, ctx.n), dtype=bool)
-        for p in range(P):
-            member[p] = table.lookup[p, ctx.roles, ctx.action]
-        contribution = weights * member
+        contribution = weights * table.lookup[:, ctx.roles, ctx.action]
         weight_coop = blockwise_row_sums(
             np.where(ctx.coop, contribution, 0.0), start=weight_coop
         )
@@ -658,10 +656,12 @@ def _chunk_counterfactuals(
     """Per-agent counterfactual payoffs ``(u_C, u_D)`` for one chunk.
 
     ``u_C[j]`` / ``u_D[j]`` are agent ``offset + j``'s payoffs if it
-    *alone* played C (resp. D) against the realized profile — the same
-    closed form as the audit's
-    :func:`~repro.schemes.population_audit._chunk_gains`, generalized
-    from the fixed target profile to an arbitrary realized one:
+    *alone* played C (resp. D) against the realized profile.  The pool
+    algebra is the audit's shared kernel,
+    :func:`~repro.schemes.population_audit._pool_payments`, run with one
+    budget row (the engine's calibrated slice budgets) against the
+    epoch's realized totals; only the block rules differ from the
+    audit's fixed target profile:
 
     * **block produced** — a crowd cooperator's exit breaks the block
       only when it sits in the strong-synchrony set; everyone else's
@@ -674,45 +674,12 @@ def _chunk_counterfactuals(
     Valid for online-crowd rows; selected rows are handled scalar-side
     by :func:`_selected_best_responses` and masked out by the caller.
     """
-    table = engine.table
-    totals = aggregates.totals
-    P = len(table.kinds)
-    n = ctx.n
-    weights = _pool_weights(
-        table, ctx.stake, ctx.cost_multiplier, ctx.roles, engine.cost_vec
-    )
-    member = np.empty((P, n), dtype=bool)
-    member_c = np.empty((P, n), dtype=bool)
-    member_d = np.empty((P, n), dtype=bool)
-    for p in range(P):
-        member[p] = table.lookup[p, ctx.roles, ctx.action]
-        member_c[p] = table.lookup[p, ctx.roles, 0]
-        member_d[p] = table.lookup[p, ctx.roles, 1]
-    contribution = weights * member
-    slice_budget = engine.slice_budget
-
-    def pool_payments(member_new: np.ndarray) -> np.ndarray:
-        """Per-agent rewards if each agent *alone* held the new membership."""
-        rewards = np.zeros(n)
-        for p in range(P):
-            new_contribution = weights[p] * member_new[p]
-            new_totals = totals[p] - contribution[p] + new_contribution
-            payable = (new_contribution > 0) & (new_totals > 0)
-            pool_reward = np.zeros(n)
-            np.divide(
-                slice_budget[p] * new_contribution,
-                new_totals,
-                out=pool_reward,
-                where=payable,
-            )
-            rewards += pool_reward
-        return rewards
-
+    payments = (engine.table, aggregates.totals, engine.slice_budget[None, :])
     if aggregates.block_success:
-        utility_c = pool_payments(member_c) - ctx.coop_cost
-        utility_d = (
-            np.where(ctx.sync, 0.0, pool_payments(member_d)) - ctx.sortition_cost
-        )
+        _, paid_c, paid_d = _pool_payments(*payments, ctx, base=False)
+        paid_d[:, ctx.sync] = 0.0
+        utility_c = paid_c[0] - ctx.coop_cost
+        utility_d = paid_d[0] - ctx.sortition_cost
     else:
         utility_c = -ctx.coop_cost.copy()
         utility_d = -ctx.sortition_cost.copy()
@@ -720,12 +687,11 @@ def _chunk_counterfactuals(
         if (
             aggregates.restorable
             and sole is not None
-            and ctx.offset <= sole < ctx.offset + n
+            and ctx.offset <= sole < ctx.offset + ctx.n
         ):
             local = sole - ctx.offset
-            utility_c[local] = (
-                pool_payments(member_c)[local] - ctx.coop_cost[local]
-            )
+            _, paid_c, _ = _pool_payments(*payments, ctx, base=False)
+            utility_c[local] = paid_c[0, local] - ctx.coop_cost[local]
     return utility_c, utility_d
 
 

@@ -35,8 +35,14 @@ whole (scheme x budget-multiplier x cost-scale) verdict tensor in the
 same two streamed passes: selection, synchrony draws and the top-k merge
 run once and are broadcast across every grid cell, pool totals and
 calibration are shared per cost scale, and the gain pass realizes each
-chunk once per cost scale before folding every cell's gains.  Each cell
-of the tensor is bit-identical to the single-cell audit of the same
+chunk once per cost scale before folding every cell's gains.  Budget
+cells share weights, membership and new totals: :func:`_pool_payments`
+computes them once per (scheme, cost scale, chunk) and repeats only the
+per-budget arithmetic, in the single-budget op order.  The affine form
+``b * rewards(1)`` is not used: it reassociates that arithmetic, and as
+many agents tie exactly at the maximum gain under foundation, the moved
+low bits move verdict witnesses.  Each cell of the tensor is
+bit-identical to the single-cell audit of the same
 ``(budget_multiplier, cost_scale)`` configuration —
 :func:`audit_populations` is now a one-cell view of the grid engine.
 """
@@ -286,6 +292,26 @@ def _pool_tables(scheme: RewardScheme, split: SchemeSplit) -> _PoolTables:
     )
 
 
+def _pool_weight(
+    tables: _PoolTables,
+    p: int,
+    stake: np.ndarray,
+    cost_multiplier: np.ndarray,
+    roles: np.ndarray,
+    cost_vec: np.ndarray,
+) -> np.ndarray:
+    """Pool ``p``'s within-pool weights ``(n,)`` (float64; may alias ``stake``)."""
+    kind = tables.kinds[p]
+    if kind is WeightKind.STAKE:
+        return stake
+    if kind is WeightKind.EQUAL:
+        return np.ones(stake.size)
+    if kind is WeightKind.STAKE_POWER:
+        return stake ** tables.exponents[p]
+    # COST — the cooperation cost of the member's role.
+    return cost_vec[roles] * cost_multiplier
+
+
 def _pool_weights(
     tables: _PoolTables,
     stake: np.ndarray,
@@ -294,18 +320,52 @@ def _pool_weights(
     cost_vec: np.ndarray,
 ) -> np.ndarray:
     """Within-pool weights ``(P, n)`` for one chunk (float64)."""
-    P = len(tables.kinds)
-    weights = np.empty((P, stake.size), dtype=np.float64)
-    for p, kind in enumerate(tables.kinds):
-        if kind is WeightKind.STAKE:
-            weights[p] = stake
-        elif kind is WeightKind.EQUAL:
-            weights[p] = 1.0
-        elif kind is WeightKind.STAKE_POWER:
-            weights[p] = stake ** tables.exponents[p]
-        else:  # COST — the cooperation cost of the member's role.
-            weights[p] = cost_vec[roles] * cost_multiplier
-    return weights
+    per_agent = (stake, cost_multiplier, roles, cost_vec)
+    weights = [_pool_weight(tables, p, *per_agent) for p in range(len(tables.kinds))]
+    return np.stack(weights)
+
+
+def _pool_payments(
+    tables: _PoolTables,
+    totals: np.ndarray,
+    slice_budget: np.ndarray,
+    ctx: "_ChunkContext",
+    base: bool = True,
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """Per-agent rewards ``(B, n)`` for the ``(B, P)`` pool budgets.
+
+    Returns ``(base, if_c, if_d)``: rewards at the realized profile
+    (``None`` unless ``base``) and if each agent *alone* switched to C,
+    resp. D, against the pool ``totals``.  A pool's weights, membership,
+    contributions, new totals and payable mask are computed once; each
+    budget row then repeats the single-budget arithmetic (scale, guarded
+    divide, accumulate in pool order), so row ``k`` is bit-identical to
+    a ``B = 1`` call at ``slice_budget[k]``.
+    """
+    B, n = slice_budget.shape[0], ctx.n
+    base_rewards = np.zeros((B, n)) if base else None
+    rewards = (np.zeros((B, n)), np.zeros((B, n)))
+    pool_reward = np.empty(n)
+    for p in range(len(tables.kinds)):
+        weights = _pool_weight(
+            tables, p, ctx.stake, ctx.cost_multiplier, ctx.roles, ctx.cost_vec
+        )
+        lookup = tables.lookup[p]
+        contribution = weights * lookup[ctx.roles, ctx.action]
+        if base_rewards is not None:
+            for k in range(B):
+                rate = slice_budget[k, p] / totals[p] if totals[p] > 0 else 0.0
+                base_rewards[k] += rate * contribution
+        for action, accumulated in enumerate(rewards):
+            new_contribution = weights * lookup[ctx.roles, action]
+            new_totals = totals[p] - contribution + new_contribution
+            payable = (new_contribution > 0) & (new_totals > 0)
+            pool_reward.fill(0.0)  # unpayable entries are never written
+            for k in range(B):
+                scaled = slice_budget[k, p] * new_contribution
+                np.divide(scaled, new_totals, out=pool_reward, where=payable)
+                accumulated[k] += pool_reward
+    return base_rewards, rewards[0], rewards[1]
 
 
 def _online_actions(
@@ -713,6 +773,7 @@ class _ChunkContext:
     action: np.ndarray  # int8: 0=C, 1=D
     coop_cost: np.ndarray  # per-agent cooperation cost of the held role
     sortition_cost: np.ndarray  # per-agent cost of playing D or O
+    cost_vec: np.ndarray  # (3,) role cooperation costs
 
 
 def _chunk_context(
@@ -778,13 +839,27 @@ def _chunk_context(
         action=(~coop).astype(np.int8),
         coop_cost=cost_vec[roles] * cost_multiplier,
         sortition_cost=structure.costs.sortition * cost_multiplier,
+        cost_vec=cost_vec,
     )
 
 
+def _keep_mask(keep: np.ndarray) -> np.ndarray:
+    """``-0.0`` where ``keep`` holds, ``nan`` elsewhere.
+
+    ``x + -0.0`` is ``x`` for every float (signed zeros included) and
+    ``x + nan`` is ``nan``: adding this mask is ``np.where(keep, x, nan)``
+    without a per-element branch.
+    """
+    return np.array([np.nan, -0.0])[keep.view(np.uint8)]
+
+
 def _chunk_gains(
-    scheme_name: str, structure: _Structure, ctx: _ChunkContext
-) -> np.ndarray:
-    """Deviation gains ``(n, 3)`` for one chunk's realized context.
+    scheme_name: str, structures: Sequence[_Structure], ctx: _ChunkContext
+) -> Iterator[np.ndarray]:
+    """Deviation gains ``(n, 3)`` for one chunk, yielded per budget cell.
+
+    ``structures`` are the budget cells of one cost scale (they differ
+    only in ``b_i``) and share one :func:`_pool_payments` pass.
 
     Row ``j`` holds agent ``ctx.offset + j``'s payoff gain for a
     unilateral switch to C, D and O (``nan`` marks the agent's current
@@ -798,87 +873,54 @@ def _chunk_gains(
     the one exception is the *sole* sync defector, whose unilateral
     switch to C restores the block.
     """
-    config = structure.config
+    structure = structures[0]
     table = structure.tables[scheme_name]
     totals = structure.pool_totals[scheme_name]
-    P = len(table.kinds)
     n = ctx.n
-    cost_vec = np.array(
-        [structure.costs.leader, structure.costs.committee, structure.costs.online]
-    )
-
-    weights = _pool_weights(
-        table, ctx.stake, ctx.cost_multiplier, ctx.roles, cost_vec
-    )
-    member = np.empty((P, n), dtype=bool)
-    member_c = np.empty((P, n), dtype=bool)
-    member_d = np.empty((P, n), dtype=bool)
-    for p in range(P):
-        member[p] = table.lookup[p, ctx.roles, ctx.action]
-        member_c[p] = table.lookup[p, ctx.roles, 0]
-        member_d[p] = table.lookup[p, ctx.roles, 1]
-    contribution = weights * member
-    slice_budget = table.fractions * structure.b_i  # (P,)
-
-    def pool_payments(member_new: np.ndarray) -> np.ndarray:
-        """Per-agent rewards if each agent *alone* played the new action."""
-        rewards = np.zeros(n)
-        for p in range(P):
-            new_contribution = weights[p] * member_new[p]
-            new_totals = totals[p] - contribution[p] + new_contribution
-            payable = (new_contribution > 0) & (new_totals > 0)
-            pool_reward = np.zeros(n)
-            np.divide(
-                slice_budget[p] * new_contribution,
-                new_totals,
-                out=pool_reward,
-                where=payable,
-            )
-            rewards += pool_reward
-        return rewards
+    b_i = np.array([cell.b_i for cell in structures])
+    slice_budget = b_i[:, None] * table.fractions  # (B, P)
 
     if structure.base_block_fails:
         # No block, no rewards — in the base profile and after any
         # unilateral deviation except the sole defector's return to C.
-        base_rewards = np.zeros(n)
-        rewards_c = np.zeros(n)
-        rewards_d = np.zeros(n)
+        base_rewards, rewards_c, rewards_d = np.zeros((3, b_i.size, n))
         sole = structure.sole_sync_defector
         if sole is not None and ctx.offset <= sole < ctx.offset + n:
             local = sole - ctx.offset
-            rewards_c[local] = pool_payments(member_c)[local]
+            _, paid_c, _ = _pool_payments(table, totals, slice_budget, ctx, base=False)
+            rewards_c[:, local] = paid_c[:, local]
     else:
-        base_rewards = np.zeros(n)
-        for p in range(P):
-            rate = slice_budget[p] / totals[p] if totals[p] > 0 else 0.0
-            base_rewards += rate * contribution[p]
-        rewards_c = pool_payments(member_c)
+        base_rewards, rewards_c, rewards_d = _pool_payments(
+            table, totals, slice_budget, ctx
+        )
         # Withdrawal block-breaks: a sole cooperating leader, a committee
         # member whose exit drops the tally below quorum, or any
         # strong-synchrony cooperator (all leaders/committee cooperate
         # by construction of the target profile).
-        sole_leader = (ctx.roles == _LEADER) & (config.n_leaders == 1)
+        sole_leader = (ctx.roles == _LEADER) & (structure.config.n_leaders == 1)
         quorum_break = (ctx.roles == _COMMITTEE) & (
             (structure.committee_stake_total - ctx.stake)
             <= structure.quorum_threshold
         )
-        breaks = sole_leader | quorum_break | (ctx.sync & ctx.coop)
-        rewards_d = np.where(breaks, 0.0, pool_payments(member_d))
+        rewards_d[:, sole_leader | quorum_break | (ctx.sync & ctx.coop)] = 0.0
 
-    coop = ctx.coop
-    current_cost = np.where(coop, ctx.coop_cost, ctx.sortition_cost)
-    base_utility = base_rewards - current_cost
-
-    gains = np.full((n, 3), np.nan)
-
-    utility_c = rewards_c - ctx.coop_cost
-    gains[:, 0] = np.where(~coop, utility_c - base_utility, np.nan)
-
-    utility_d = rewards_d - ctx.sortition_cost
-    gains[:, 1] = np.where(coop, utility_d - base_utility, np.nan)
-
-    gains[:, 2] = -ctx.sortition_cost - base_utility
-    return gains
+    # Rewards become utilities and then gains in place, all budget rows
+    # at once, so the three (B, n) arrays are the only per-budget state.
+    base_utility, gain_c, gain_d = base_rewards, rewards_c, rewards_d
+    base_utility -= np.where(ctx.coop, ctx.coop_cost, ctx.sortition_cost)
+    gain_c -= ctx.coop_cost
+    gain_c -= base_utility
+    gain_d -= ctx.sortition_cost
+    gain_d -= base_utility
+    keep_c = _keep_mask(~ctx.coop)  # a switch to C is a deviation for defectors
+    keep_d = _keep_mask(ctx.coop)
+    for k in range(b_i.size):
+        gains = np.empty((n, 3))
+        np.add(gain_c[k], keep_c, out=gains[:, 0])
+        np.add(gain_d[k], keep_d, out=gains[:, 1])
+        np.negative(ctx.sortition_cost, out=gains[:, 2])
+        gains[:, 2] -= base_utility[k]
+        yield gains
 
 
 def iter_population_gains(
@@ -898,7 +940,7 @@ def iter_population_gains(
         structure = _build_structure([resolved], spec, config)
     for chunk in _chunks(spec, config):
         ctx = _chunk_context(structure, spec, chunk)
-        yield chunk, _chunk_gains(resolved.name, structure, ctx), ctx.coop
+        yield chunk, next(_chunk_gains(resolved.name, (structure,), ctx)), ctx.coop
 
 
 class _GainReducer:
@@ -924,22 +966,19 @@ class _GainReducer:
     ) -> None:
         """Fold one chunk's ``(n, 3)`` gain tensor into the running verdict."""
         structure = self._structure
-        self.n_deviations += int(np.count_nonzero(~np.isnan(gains)))
-        chunk_max = float(np.nanmax(gains))
+        self.n_deviations += gains.size - int(np.count_nonzero(np.isnan(gains)))
+        # The reduction np.nanmax runs on an ndarray, without its warning.
+        chunk_max = float(np.fmax.reduce(gains, axis=None))
         if chunk_max > self.max_gain:
             self.max_gain = chunk_max
-            # Flat argmax over the agent-major (n, 3) layout: first hit is
-            # the smallest (agent, target) pair — the canonical witness.
-            flat = int(np.nanargmax(gains))
+            # First hit in the agent-major (n, 3) layout: the smallest
+            # (agent, target) pair at the maximum — the canonical witness.
+            flat = int(np.argmax(gains == chunk_max))
             j, t = divmod(flat, 3)
-            in_chunk = (structure.selected_index >= chunk.offset) & (
-                structure.selected_index < chunk.offset + chunk.n_agents
-            )
-            local = structure.selected_index[in_chunk] - chunk.offset
             role = _ONLINE
-            matches = np.flatnonzero(local == j)
-            if matches.size:
-                role = int(structure.selected_role[in_chunk][matches[0]])
+            hit = np.flatnonzero(structure.selected_index == chunk.offset + j)
+            if hit.size:
+                role = int(structure.selected_role[hit[0]])
             self.witness = DeviationWitness(
                 population=0,
                 player=int(chunk.offset + j),
@@ -949,11 +988,17 @@ class _GainReducer:
                 to_strategy=_TARGETS[t],
                 gain=chunk_max,
             )
-        shirk = np.where(
-            coop[:, None], gains[:, 1:], np.nan
-        )  # columns D and O, cooperators only
-        if not bool(np.all(np.isnan(shirk))):
-            self.max_shirk = max(self.max_shirk, float(np.nanmax(shirk)))
+        # Cooperators' D and O columns; nan when the chunk has none.
+        shirk = np.fmax(gains[:, 1], gains[:, 2])
+        shirk += _keep_mask(coop)
+        chunk_shirk = float(np.fmax.reduce(shirk))
+        if chunk_shirk == 0.0:
+            # Which signed zero fmax keeps depends on the reduction order:
+            # settle an exact zero on the (n, 2) layout nanmax always saw.
+            shirk = np.where(coop[:, None], gains[:, 1:], np.nan)
+            chunk_shirk = float(np.fmax.reduce(shirk, axis=None))
+        if not math.isnan(chunk_shirk):
+            self.max_shirk = max(self.max_shirk, chunk_shirk)
 
     def report(
         self,
@@ -1031,37 +1076,26 @@ class PopulationAuditGridResult:
                 for cs in self.cost_scales:
                     yield (scheme, b, cs)
 
-    def max_gain_tensor(self) -> np.ndarray:
-        """Best deviation gain per cell, shape ``(S, B, C)`` float64."""
+    def _tensor(self, field: str, dtype: type) -> np.ndarray:
+        """One report field per cell, shape ``(S, B, C)``."""
         return np.array(
             [
                 [
-                    [
-                        self.reports[(scheme, b, cs)].max_gain
-                        for cs in self.cost_scales
-                    ]
+                    [getattr(self.reports[(s, b, c)], field) for c in self.cost_scales]
                     for b in self.budget_multipliers
                 ]
-                for scheme in self.schemes
+                for s in self.schemes
             ],
-            dtype=np.float64,
+            dtype=dtype,
         )
+
+    def max_gain_tensor(self) -> np.ndarray:
+        """Best deviation gain per cell, shape ``(S, B, C)`` float64."""
+        return self._tensor("max_gain", np.float64)
 
     def certified_tensor(self) -> np.ndarray:
         """Epsilon-IC verdict per cell, shape ``(S, B, C)`` bool."""
-        return np.array(
-            [
-                [
-                    [
-                        self.reports[(scheme, b, cs)].certified
-                        for cs in self.cost_scales
-                    ]
-                    for b in self.budget_multipliers
-                ]
-                for scheme in self.schemes
-            ],
-            dtype=bool,
-        )
+        return self._tensor("certified", bool)
 
     def witnesses(self) -> Dict[Tuple[str, float, float], DeviationWitness]:
         """The profitable-deviation witness for every non-certified cell."""
@@ -1155,8 +1189,8 @@ def audit_population_grid(
     single audit: pass 1 selects, draws synchrony and totals pools for
     every cell at once (:func:`_build_structure_grid`), and the gain
     pass realizes each chunk's roles/synchrony/actions once per cost
-    scale — budget cells share the context and differ only in the
-    ``b_i`` scalar — before folding every cell's closed-form deviation
+    scale — budget cells share the context and one pool-algebra pass
+    per scheme — before folding every cell's closed-form deviation
     gains.  Memory stays O(chunk): the per-cell state carried across
     chunks is one :class:`_GainReducer` (a few scalars and a witness).
 
@@ -1218,20 +1252,20 @@ def audit_population_grid(
                     stake=stake,
                     sync=sync_draws,
                 )
+                cells = [structures[(b, cs)] for b in budgets]
                 for item in resolved:
-                    for b in budgets:
-                        cell_started = time.perf_counter() if telemetry else 0.0
-                        reducers[(item.name, b, cs)].update(
-                            chunk,
-                            _chunk_gains(item.name, structures[(b, cs)], ctx),
-                            ctx.coop,
-                        )
-                        if telemetry:
+                    group_started = time.perf_counter() if telemetry else 0.0
+                    for b, gains in zip(budgets, _chunk_gains(item.name, cells, ctx)):
+                        reducers[(item.name, b, cs)].update(chunk, gains, ctx.coop)
+                    if telemetry:
+                        # Budget cells share the group's work: equal shares.
+                        group_s = time.perf_counter() - group_started
+                        for b in budgets:
                             m_cell_gain.labels(
                                 scheme=item.name,
                                 budget=repr(float(b)),
                                 cost_scale=repr(float(cs)),
-                            ).inc(time.perf_counter() - cell_started)
+                            ).inc(group_s / len(budgets))
             if telemetry:
                 m_chunks.inc()
                 m_agents.inc(float(chunk.n_agents))
