@@ -9,10 +9,18 @@ epoch over 12 epochs) pins the stake state carried across epochs and
 chunk seams.  Its gentler replicator (intensity 0.5) keeps the
 role-based crowd mixed, so the churned stakes move that scheme's payoff
 means in every epoch; under foundation, blocks fail from epoch 1 on and
-payoffs no longer depend on stake.  This script re-runs the streamed
-driver and fails if any byte of a payload diverges, so a refactor of
-the chunked kernels can't silently change the paper's conclusions.
-Exits non-zero on divergence (fails the CI job).
+payoffs no longer depend on stake.  A third run
+(``population_dynamics_jitter32_*.json``) stores the population in
+float32 with per-agent cost jitter (sigma 0.3) and evolves it by
+synchronous best response under the same churn, so the widened stake
+and cost columns every pass reads are pinned too.  Its budget of six
+times the bound gives the jittered costs headroom: role-based sharing
+holds the Theorem 3 profile with every block produced (churned stakes
+move its payoffs each epoch), while foundation unravels.  This script
+re-runs the streamed driver and fails if any byte of a payload
+diverges, so a refactor of the chunked kernels can't silently change
+the paper's conclusions.  Exits non-zero on divergence (fails the CI
+job).
 
 Run from the repo root::
 
@@ -69,6 +77,16 @@ def golden_specs():
             churn_rate=0.1,
             n_epochs=12,
             replicator_intensity=0.5,
+        ),
+        "jitter32_": base.with_overrides(
+            name="golden-jitter32",
+            population=base.population.with_overrides(
+                dtype="float32", cost_jitter=0.3
+            ),
+            update_rule="best_response",
+            churn_rate=0.1,
+            n_epochs=12,
+            budget_multiplier=6.0,
         ),
     }
 

@@ -10,6 +10,7 @@ experiment surface.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -108,46 +109,28 @@ class TestSpecValidation:
             assert _spec(update_rule=rule).update_rule == rule
 
 
+def _dynamics_drift_script():
+    """The CI drift guard, loaded as a module (it owns the pinned runs)."""
+    path = (
+        Path(__file__).resolve().parents[2] / "benchmarks" / "check_dynamics_drift.py"
+    )
+    loader_spec = importlib.util.spec_from_file_location("check_dynamics_drift", path)
+    module = importlib.util.module_from_spec(loader_spec)
+    loader_spec.loader.exec_module(module)
+    return module
+
+
 class TestGoldenTrajectories:
     """Refactors cannot silently change the Section V conclusions."""
 
-    @staticmethod
-    def _golden_spec(variant: str) -> PopulationDynamicsSpec:
-        spec = PopulationDynamicsSpec(
-            name="golden",
-            population=PopulationSpec(
-                family="zipf",
-                size=16_384,
-                params={"exponent": 1.9, "scale": 3.0},
-                cooperation=0.9,
-                seed=2021,
-            ),
-            n_epochs=8,
-            chunk_agents=8_192,
-        )
-        if variant == "churn_":
-            spec = spec.with_overrides(
-                name="golden-churn",
-                churn_rate=0.1,
-                n_epochs=12,
-                replicator_intensity=0.5,
-            )
-        return spec
+    REPLAYED = ("", "churn_", "jitter32_")
 
     @staticmethod
     def _replay(variant: str, scheme: str) -> None:
-        golden_path = _GOLDEN_DIR / f"population_dynamics_{variant}{scheme}.json"
-        golden = golden_path.read_text()
-        spec = TestGoldenTrajectories._golden_spec(variant)
-        replayed = (
-            json.dumps(
-                run_population_dynamics(spec, scheme).to_payload(),
-                indent=2,
-                sort_keys=True,
-            )
-            + "\n"
-        )
-        assert replayed == golden
+        script = _dynamics_drift_script()
+        golden = script.golden_path(scheme, variant).read_text()
+        spec = script.golden_specs()[variant]
+        assert script.compute_payload(spec, scheme) == golden
 
     @pytest.mark.parametrize("scheme", ["foundation", "role_based"])
     def test_golden_replay_is_bit_identical(self, scheme):
@@ -157,6 +140,14 @@ class TestGoldenTrajectories:
     def test_churned_golden_replay_is_bit_identical(self, scheme):
         """Churned stakes carried across 12 epochs replay bit for bit."""
         self._replay("churn_", scheme)
+
+    @pytest.mark.parametrize("scheme", ["foundation", "role_based"])
+    def test_jittered_float32_golden_replay_is_bit_identical(self, scheme):
+        """Widened float32 stakes and jittered costs replay bit for bit."""
+        self._replay("jitter32_", scheme)
+
+    def test_every_pinned_run_is_replayed(self):
+        assert tuple(_dynamics_drift_script().golden_specs()) == self.REPLAYED
 
     def test_goldens_pin_the_paper_verdicts(self):
         foundation = json.loads(
