@@ -58,6 +58,11 @@ CHURN_SCHEME = "role_based"
 #: 1..e (commit adb2fb9), measured on the same machine as the row.
 REPLAY_ELAPSED_S = 147.1
 
+#: Each row's elapsed time when both passes of every epoch resynthesized
+#: every seed block (commit c3c9928), measured on the same machine.
+RESYNTHESIS_ELAPSED_S = {100_000: 2.86, 1_000_000: 28.12}
+CHURN_RESYNTHESIS_ELAPSED_S = 14.46
+
 
 def _dynamics_spec(
     size: int, chunk_agents, epochs: int = EPOCHS, churn_rate: float = 0.0
@@ -106,6 +111,7 @@ def _child_payload(size: int, chunk_agents: int) -> Dict[str, object]:
         "n_agents": size,
         "n_epochs": EPOCHS,
         "elapsed_s": elapsed,
+        "resynthesis_elapsed_s": RESYNTHESIS_ELAPSED_S.get(size),
         "peak_rss_mb": peak_rss_mb,
         "agent_epochs_per_second": size * EPOCHS * len(SCHEMES) / elapsed,
         "schemes": schemes,
@@ -131,6 +137,7 @@ def _churn_child_payload(chunk_agents: int) -> Dict[str, object]:
         "scheme": CHURN_SCHEME,
         "elapsed_s": elapsed,
         "replay_elapsed_s": REPLAY_ELAPSED_S,
+        "resynthesis_elapsed_s": CHURN_RESYNTHESIS_ELAPSED_S,
         "peak_rss_mb": (
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         ),
@@ -206,7 +213,10 @@ def run_benchmark(sizes=DEFAULT_SIZES, chunk_agents: int = CHUNK_AGENTS) -> Dict
             f"{CHURN_RATE} over {CHURN_EPOCHS} epochs under {CHURN_SCHEME} "
             "with stakes carried from epoch to epoch; replay_elapsed_s is "
             "the same row when every pass replayed churn rounds 1..e "
-            "(commit adb2fb9, same machine)."
+            "(commit adb2fb9, same machine).  resynthesis_elapsed_s is a "
+            "row's time when both passes of every epoch resynthesized "
+            "every seed block (commit c3c9928, same machine); each chunk's "
+            "realized columns are now carried between passes."
         ),
         "family": FAMILY,
         "family_params": FAMILY_PARAMS,
@@ -244,7 +254,8 @@ def _format_report(payload: Dict[str, object]) -> str:
         f"churned {churn['n_agents']:,} agents x {churn['n_epochs']} epochs "
         f"({churn['scheme']}, churn {churn['churn_rate']}): "
         f"{churn['elapsed_s']:.2f} s, peak RSS {churn['peak_rss_mb']:.0f} MB "
-        f"(replaying churn: {churn['replay_elapsed_s']} s)"
+        f"(replaying churn: {churn['replay_elapsed_s']} s; resynthesizing "
+        f"blocks: {churn['resynthesis_elapsed_s']} s)"
     )
     lines.append(
         f"byte-identical across chunk sizes at 2*10^4: "
@@ -268,7 +279,7 @@ def test_bench_population_dynamics(report):
     assert largest["peak_rss_mb"] < 248, (
         "peak RSS left the O(chunk) envelope — the streaming contract broke"
     )
-    # The churn spill lives on disk: a churned run stays in the envelope.
+    # The column spill lives on disk: a churned run stays in the envelope.
     assert payload["churn_long_horizon"]["peak_rss_mb"] < 248
     report(_format_report(payload))
 

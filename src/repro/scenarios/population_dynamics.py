@@ -18,21 +18,27 @@ streaming substrate:
    folds per-pool class weights, costs and the strong-synchrony defector
    census with the block-stable reductions, and emits an
    :class:`~repro.scenarios.dynamics.EpochRecord`.  The *update* pass
-   replays the profile and evaluates each crowd agent's **counterfactual**
-   payoffs — what it would earn if it alone played C (resp. D) — with the
-   audit's closed-form pool algebra; a
+   replays that profile and evaluates each crowd agent's
+   **counterfactual** payoffs — what it would earn if it alone played C
+   (resp. D) — with the audit's closed-form pool algebra; a
    :class:`~repro.core.dynamics.ReplicatorAccumulator` folds the sums and
    steps the crowd share once per epoch, while the selected agents revise
    by exact synchronous best response in both update modes (they are the
    mechanism's performers; their incentives, not the crowd means, are what
    separates the schemes).
-3. **Stake churn** (optional) resamples stakes once per epoch from the
-   population's seed-block tree (any generator family, including the
-   ``exchange_snapshot`` bootstrap), with the selected agents' stakes
-   pinned so the epoch-0 calibration and quorum threshold stay exact.
-   The churned stakes are carried from epoch to epoch in a disk spill
-   (8 bytes per agent), so each churn round is drawn once: O(epochs)
-   draws per chunk, in O(chunk) memory.
+3. **One column spill carries the realized epoch.**  Each chunk's stake,
+   cost multiplier, post-selection synchrony mask and action (18 bytes
+   per agent) live in an anonymous temp file between passes.  The
+   epoch-0 measure pass is the only one that synthesizes seed blocks and
+   draws synchrony; each later measure pass reads the previous epoch's
+   columns, applies one round of the optional **stake churn** and draws
+   the epoch's realization uniforms; the update pass replays the held
+   columns verbatim and draws nothing.  Churn resamples stakes once per
+   epoch from the population's seed-block tree (any generator family,
+   including the ``exchange_snapshot`` bootstrap), with the selected
+   agents' stakes pinned so the epoch-0 calibration and quorum threshold
+   stay exact.  So a run synthesizes every block once (plus the
+   structure pass) and draws each churn round once, in O(chunk) memory.
 
 Counterfactual (unilateral-deviation) crowd fitness is the load-bearing
 choice: both schemes pay crowd *defectors* from stake-proportional pools,
@@ -85,16 +91,19 @@ from repro.populations.arrays import (
 from repro.populations.generators import resolve_sampler
 from repro.populations.spec import PopulationSpec
 from repro.scenarios.dynamics import EpochRecord, ScenarioTrajectory
-from repro.schemes.audit import _COMMITTEE, _LEADER, _ONLINE
+from repro.schemes.base import COMMITTEE, LEADER, ONLINE, ROLES
 from repro.schemes.population_audit import (
     PopulationAuditConfig,
     _build_structure,
     _chunk_context,
+    _chunk_roles,
     _chunks,
     _ChunkContext,
     _pool_payments,
     _pool_weights,
+    _selected_rows,
     _Structure,
+    _sync_mask,
 )
 from repro.schemes.registry import SchemeLike, resolve_scheme
 from repro.telemetry.metrics import DEFAULT_TIME_BUCKETS
@@ -279,36 +288,66 @@ class PopulationDynamicsSpec:
 # -- the streamed engine ------------------------------------------------------
 
 
-class _StakeCarry:
-    """Every agent's churned stake, carried from one epoch to the next.
+#: The carried columns in their on-disk order within a chunk's region:
+#: stake, cost multiplier, post-selection synchrony mask, action.
+_CARRY_DTYPES: Tuple[np.dtype, ...] = tuple(
+    np.dtype(kind) for kind in (np.float64, np.float64, np.bool_, np.int8)
+)
+_CARRY_BYTES = sum(dtype.itemsize for dtype in _CARRY_DTYPES)  # 18 per agent
 
-    One float64 column for the whole population lives in an anonymous
-    temp file; each chunk reads and writes its own slice at byte offset
-    ``offset * 8`` with explicit file I/O.  RAM stays O(chunk) and disk
-    is 8 bytes per agent (pages touched through ``np.memmap`` would
-    count toward the process's resident high-water mark instead).  A
-    per-chunk tag records which epoch's stakes the spill holds; chunks
-    not yet churned hold epoch 0, the population's own stakes.
+
+class _EpochCarry:
+    """Each chunk's realized epoch columns, carried from pass to pass.
+
+    Four columns per agent, 18 bytes: the float64 stake, the float64
+    cost multiplier, the post-selection strong-synchrony mask and the
+    int8 action (0=C, 1=D).  They live in an anonymous temp file, each
+    chunk's columns one after another in its own region at byte
+    ``offset * 18``, read and written with explicit file I/O: RAM stays
+    O(chunk) (pages touched through ``np.memmap`` would count toward the
+    process's resident high-water mark instead).  A per-chunk tag
+    records which epoch the spill holds (-1 before the chunk's first
+    write); the chunk table, filled in stream order by the epoch-0
+    measure pass, is the layout every later pass streams.
     """
 
     def __init__(self) -> None:
         self._file: IO[bytes] = tempfile.TemporaryFile()
-        self._held: Dict[int, int] = {}
+        self._held: Dict[int, Tuple[int, int]] = {}  # offset -> (n, epoch)
 
-    def held_epoch(self, chunk: PopulationArrays) -> int:
-        """The epoch whose stakes the spill holds for ``chunk``."""
-        return self._held.get(chunk.offset, 0)
+    def offsets(self) -> List[int]:
+        """Every carried chunk's first agent, in stream order."""
+        return list(self._held)
 
-    def read(self, chunk: PopulationArrays) -> np.ndarray:
-        """The chunk's stakes at its held epoch (>= 1)."""
-        self._file.seek(chunk.offset * 8)
-        return np.fromfile(self._file, dtype=np.float64, count=chunk.n_agents)
+    def held_epoch(self, offset: int) -> int:
+        """The epoch the spill holds for the chunk at ``offset`` (-1: none)."""
+        held = self._held.get(offset)
+        return -1 if held is None else held[1]
 
-    def write(self, chunk: PopulationArrays, stake: np.ndarray, epoch: int) -> None:
-        """Store the chunk's stakes at ``epoch`` and advance its tag."""
-        self._file.seek(chunk.offset * 8)
-        stake.tofile(self._file)
-        self._held[chunk.offset] = epoch
+    def read(self, offset: int) -> Tuple[np.ndarray, ...]:
+        """The chunk's ``(stake, cost, sync, action)`` at its held epoch."""
+        n = self._held[offset][0]
+        self._file.seek(offset * _CARRY_BYTES)
+        return tuple(
+            np.fromfile(self._file, dtype=dtype, count=n) for dtype in _CARRY_DTYPES
+        )
+
+    def write(
+        self, offset: int, epoch: int, columns: Sequence[Optional[np.ndarray]]
+    ) -> None:
+        """Store the chunk's columns at ``epoch`` and advance its tag.
+
+        ``columns`` follows the on-disk order; a None entry leaves that
+        column as it is (the stake is always written).
+        """
+        n = columns[0].size
+        position = offset * _CARRY_BYTES
+        for column, dtype in zip(columns, _CARRY_DTYPES):
+            if column is not None:
+                self._file.seek(position)
+                np.asarray(column, dtype=dtype).tofile(self._file)
+            position += n * dtype.itemsize
+        self._held[offset] = (n, epoch)
 
     def close(self) -> None:
         """Release the spill file (idempotent)."""
@@ -330,7 +369,7 @@ class _Engine:
     n_sync: int  # strong-synchrony crowd agents
     n_nonsync: int
     churn_sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]]
-    carry: Optional[_StakeCarry]  # churned stakes; None without churn
+    carry: _EpochCarry
 
     @property
     def table(self):
@@ -338,9 +377,8 @@ class _Engine:
         return self.structure.tables[self.scheme_name]
 
     def close(self) -> None:
-        """Release the churn spill, if the run has one."""
-        if self.carry is not None:
-            self.carry.close()
+        """Release the column spill."""
+        self.carry.close()
 
 
 @dataclass
@@ -369,29 +407,22 @@ class _EpochAggregates:
 def _build_engine(
     spec: PopulationDynamicsSpec, scheme_name: str, structure: _Structure
 ) -> _Engine:
-    """Census pass: count the synchrony split of the online crowd."""
-    config = structure.config
+    """The run's constants, plus the column spill every pass streams."""
     pop = spec.population
-    n_sync = 0
-    for chunk in _chunks(pop, config):
-        ctx = _chunk_context(structure, pop, chunk)
-        n_sync += int(np.count_nonzero(ctx.sync))
-    n_crowd = pop.size - config.n_selected
+    n_crowd = pop.size - structure.config.n_selected
     table = structure.tables[scheme_name]
     cost_vec = np.array(
         [structure.costs.leader, structure.costs.committee, structure.costs.online]
     )
     churn_sampler = None
-    carry = None
     if spec.churn_rate > 0.0:
         churn_sampler = resolve_sampler(
             spec.churn_family or pop.family,
             spec.churn_params or pop.params,
         )
-        carry = _StakeCarry()
     return _Engine(
         spec=spec,
-        config=config,
+        config=structure.config,
         scheme_name=scheme_name,
         structure=structure,
         slice_budget=table.fractions * structure.b_i,
@@ -404,10 +435,10 @@ def _build_engine(
             cost_vec,
         ),
         n_crowd=n_crowd,
-        n_sync=n_sync,
-        n_nonsync=n_crowd - n_sync,
+        n_sync=structure.crowd_sync,
+        n_nonsync=n_crowd - structure.crowd_sync,
         churn_sampler=churn_sampler,
-        carry=carry,
+        carry=_EpochCarry(),
     )
 
 
@@ -440,101 +471,137 @@ def _thresholds(engine: _Engine, share: float) -> Tuple[float, float]:
     return p_nonsync, p_sync
 
 
-def _epoch_stake(engine: _Engine, chunk: PopulationArrays, epoch: int) -> np.ndarray:
-    """The chunk's stakes at ``epoch``, advancing the churn carry.
+def _churned(
+    engine: _Engine, offset: int, stake: np.ndarray, epoch: int
+) -> np.ndarray:
+    """The chunk's stakes after churn round ``epoch``.
 
-    A measure pass asks for the epoch after the one the carry holds and
-    applies exactly one churn round to it: every agent is resampled
-    independently with probability ``churn_rate`` from the churn family
-    by a position-preserving ``np.where`` (chunk-stable), then the
-    selected agents are pinned to their epoch-0 stakes so the
-    calibration, pool structure and quorum threshold stay exact.  The
-    update pass replays the held epoch and draws nothing.  Any other
-    request is an ordering bug and raises.
+    Every agent is resampled independently with probability
+    ``churn_rate`` from the churn family by a position-preserving
+    ``np.where`` (chunk-stable), then the selected agents are pinned to
+    their epoch-0 stakes so the calibration, pool structure and quorum
+    threshold stay exact.
     """
-    carry = engine.carry
-    if carry is None:
-        return chunk.stake64()
-    held = carry.held_epoch(chunk)
-    if epoch not in (held, held + 1):
-        raise RuntimeError(
-            f"churn carry holds epoch {held} for the chunk at agent "
-            f"{chunk.offset}; epoch {epoch} is neither that nor the next"
-        )
-    stake = chunk.stake64() if held == 0 else carry.read(chunk)
-    if epoch == held:
-        return stake
     pop = engine.spec.population
+    n = stake.size
     sampler = engine.churn_sampler
     assert sampler is not None
     selector = pop.chunk_draws(
-        chunk.offset,
-        chunk.n_agents,
-        f"{_CHURN_SELECT_COLUMN}.{epoch}",
-        lambda rng, n: rng.random(n),
+        offset, n, f"{_CHURN_SELECT_COLUMN}.{epoch}", lambda rng, n: rng.random(n)
     )
     fresh = pop.chunk_draws(
-        chunk.offset, chunk.n_agents, f"{_CHURN_STAKE_COLUMN}.{epoch}", sampler
+        offset, n, f"{_CHURN_STAKE_COLUMN}.{epoch}", sampler
     ).astype(np.float64, copy=False)
     stake = np.where(selector < engine.spec.churn_rate, fresh, stake)
     if not np.all(np.isfinite(stake)) or float(stake.min()) <= 0.0:
         raise ConfigurationError(
             "churn family produced non-positive or non-finite stakes"
         )
-    structure = engine.structure
-    in_chunk = (structure.selected_index >= chunk.offset) & (
-        structure.selected_index < chunk.offset + chunk.n_agents
-    )
-    local = structure.selected_index[in_chunk] - chunk.offset
-    stake[local] = structure.selected_stake[in_chunk]
-    carry.write(chunk, stake, epoch)
+    in_chunk, local = _selected_rows(engine.structure, offset, n)
+    stake[local] = engine.structure.selected_stake[in_chunk]
     return stake
 
 
-def _epoch_context(
+def _carried_context(
     engine: _Engine,
-    chunk: PopulationArrays,
+    offset: int,
+    stake: np.ndarray,
+    cost: np.ndarray,
+    sync: np.ndarray,
+    action: np.ndarray,
+) -> _ChunkContext:
+    """One chunk's realized context from its four carried columns."""
+    structure = engine.structure
+    roles = _chunk_roles(structure, offset, stake.size)
+    return _ChunkContext(
+        offset=offset,
+        n=stake.size,
+        stake=stake,
+        cost_multiplier=cost,
+        roles=roles,
+        sync=sync,
+        coop=action == 0,
+        action=action,
+        coop_cost=engine.cost_vec[roles] * cost,
+        sortition_cost=structure.costs.sortition * cost,
+        cost_vec=engine.cost_vec,
+    )
+
+
+def _order_error(offset: int, held: int, pass_name: str, epoch: int) -> RuntimeError:
+    """The error for a pass that asks for an epoch out of order."""
+    return RuntimeError(
+        f"column carry holds epoch {held} for the chunk at agent {offset}; "
+        f"the {pass_name} pass cannot stream epoch {epoch}"
+    )
+
+
+def _measured_context(
+    engine: _Engine,
+    offset: int,
     epoch: int,
     thresholds: Optional[Tuple[float, float]],
     sel_action: np.ndarray,
     crowd_behavior: Optional[np.ndarray],
+    chunk: Optional[PopulationArrays] = None,
 ) -> _ChunkContext:
-    """One chunk's realized context at a given epoch.
+    """One chunk's realized context at ``epoch``, advancing the carry.
 
-    Crowd actions come from the epoch's uniform draws against
-    ``thresholds`` (replicator realization — deterministic replay: the
-    update pass rebuilds the previous epoch's profile from the same
-    draws), or from the persistent ``crowd_behavior`` array when
-    ``thresholds`` is None (best-response mode).  Selected agents play
-    their current best-response actions.
+    Epoch 0 takes the synthesized ``chunk``: its widened stakes and cost
+    multipliers and its post-selection synchrony mask are the run's only
+    block synthesis and synchrony draw, and all four columns are stored.
+    Epoch ``e >= 1`` reads epoch ``e - 1``'s stake, cost and synchrony
+    from the carry, applies churn round ``e`` (:func:`_churned`) and
+    stores the new stakes and actions.  Crowd actions come from the
+    epoch's uniform draws against ``thresholds`` (replicator
+    realization), or from the persistent ``crowd_behavior`` array when
+    ``thresholds`` is None (best-response mode); selected agents play
+    their current best-response actions.  Any epoch but the one after
+    the held epoch is an ordering bug and raises.
     """
+    carry = engine.carry
+    held = carry.held_epoch(offset)
+    if epoch != held + 1:
+        raise _order_error(offset, held, "measure", epoch)
     structure = engine.structure
     pop = engine.spec.population
-    ctx = _chunk_context(
-        structure, pop, chunk, stake=_epoch_stake(engine, chunk, epoch)
-    )
+    if held < 0:
+        assert chunk is not None
+        stake, cost = chunk.stake64(), chunk.cost64()
+        sync = _sync_mask(pop, engine.config, chunk)
+        sync[_selected_rows(structure, offset, chunk.n_agents)[1]] = False
+    else:
+        stake, cost, sync, _ = carry.read(offset)
+        if engine.churn_sampler is not None:
+            stake = _churned(engine, offset, stake, epoch)
+    n = stake.size
     if thresholds is not None:
         uniforms = pop.chunk_draws(
-            chunk.offset,
-            chunk.n_agents,
-            f"{_REALIZE_COLUMN}.{epoch}",
-            lambda rng, n: rng.random(n),
+            offset, n, f"{_REALIZE_COLUMN}.{epoch}", lambda rng, n: rng.random(n)
         )
-        level = np.where(ctx.sync, thresholds[1], thresholds[0])
-        actions = (uniforms < level).astype(np.int8)
+        level = np.where(sync, thresholds[1], thresholds[0])
+        action = (uniforms < level).astype(np.int8)
     else:
         assert crowd_behavior is not None
-        actions = crowd_behavior[
-            chunk.offset : chunk.offset + chunk.n_agents
-        ].copy()
-    in_chunk = (structure.selected_index >= chunk.offset) & (
-        structure.selected_index < chunk.offset + chunk.n_agents
-    )
-    local = structure.selected_index[in_chunk] - chunk.offset
-    actions[local] = sel_action[in_chunk]
-    ctx.action = actions
-    ctx.coop = actions == 0
-    return ctx
+        action = crowd_behavior[offset : offset + n].copy()
+    in_chunk, local = _selected_rows(structure, offset, n)
+    action[local] = sel_action[in_chunk]
+    # Cost and synchrony are written once, at epoch 0; they never change.
+    fixed = (cost, sync) if held < 0 else (None, None)
+    carry.write(offset, epoch, (stake, *fixed, action))
+    return _carried_context(engine, offset, stake, cost, sync, action)
+
+
+def _replayed_context(engine: _Engine, offset: int, epoch: int) -> _ChunkContext:
+    """The held ``epoch``'s context, replayed verbatim from the carry.
+
+    The update pass's view of the profile it revises: no draw, no
+    synthesis.  Any other epoch is an ordering bug and raises.
+    """
+    held = engine.carry.held_epoch(offset)
+    if epoch != held:
+        raise _order_error(offset, held, "update", epoch)
+    return _carried_context(engine, offset, *engine.carry.read(offset))
 
 
 def _measure_pass(
@@ -558,12 +625,18 @@ def _measure_pass(
     sync_defectors = 0
     sole_candidates: List[int] = []
 
-    for chunk in _chunks(spec.population, engine.config):
-        ctx = _epoch_context(
-            engine, chunk, epoch, thresholds, sel_action, crowd_behavior
+    # Epoch 0 streams the synthesized chunks; later epochs the carry's.
+    stream = (
+        ((chunk.offset, chunk) for chunk in _chunks(spec.population, engine.config))
+        if epoch == 0
+        else ((offset, None) for offset in engine.carry.offsets())
+    )
+    for offset, chunk in stream:
+        ctx = _measured_context(
+            engine, offset, epoch, thresholds, sel_action, crowd_behavior, chunk
         )
         if store_behavior is not None:
-            store_behavior[chunk.offset : chunk.offset + ctx.n] = ctx.action
+            store_behavior[offset : offset + ctx.n] = ctx.action
         weights = _pool_weights(
             table, ctx.stake, ctx.cost_multiplier, ctx.roles, engine.cost_vec
         )
@@ -585,19 +658,19 @@ def _measure_pass(
         count = int(np.count_nonzero(sync_defect))
         if count and len(sole_candidates) < 2:
             rows = np.flatnonzero(sync_defect)[:2]
-            sole_candidates.extend(chunk.offset + int(row) for row in rows)
+            sole_candidates.extend(offset + int(row) for row in rows)
         sync_defectors += count
 
     assert weight_coop is not None and weight_defect is not None
     leader_coop = int(
         np.count_nonzero(
-            (structure.selected_role == _LEADER) & (sel_action == 0)
+            (structure.selected_role == LEADER) & (sel_action == 0)
         )
     )
     committee_tally = float(
         np.add.reduce(
             np.where(
-                (structure.selected_role == _COMMITTEE) & (sel_action == 0),
+                (structure.selected_role == COMMITTEE) & (sel_action == 0),
                 structure.selected_stake,
                 0.0,
             )
@@ -724,7 +797,7 @@ def _selected_best_responses(
             coop_new = 1 if target == 0 else 0
             leaders_after = aggregates.leader_coop
             tally_after = aggregates.committee_tally
-            if role == _LEADER:
+            if role == LEADER:
                 leaders_after += coop_new - coop_now
             else:
                 tally_after += (coop_new - coop_now) * stake
@@ -760,7 +833,6 @@ def _update_pass(
     engine: _Engine,
     aggregates: _EpochAggregates,
     prev_epoch: int,
-    thresholds: Optional[Tuple[float, float]],
     sel_action: np.ndarray,
     crowd_behavior: Optional[np.ndarray],
     share: float,
@@ -769,8 +841,8 @@ def _update_pass(
 
     Returns ``(next crowd share, next selected actions)``; in
     best-response mode the crowd's new actions are written back into
-    ``crowd_behavior`` in place (each chunk replays from its pre-update
-    slice, so the synchronous semantics hold).
+    ``crowd_behavior`` in place (each chunk replays its carried profile,
+    so the synchronous semantics hold).
     """
     spec = engine.spec
     registry = get_registry()
@@ -779,12 +851,10 @@ def _update_pass(
     accumulator = ReplicatorAccumulator(
         intensity=spec.replicator_intensity, mutation=spec.replicator_mutation
     )
-    for chunk in _chunks(spec.population, engine.config):
-        ctx = _epoch_context(
-            engine, chunk, prev_epoch, thresholds, sel_action, crowd_behavior
-        )
+    for offset in engine.carry.offsets():
+        ctx = _replayed_context(engine, offset, prev_epoch)
         utility_c, utility_d = _chunk_counterfactuals(engine, ctx, aggregates)
-        crowd = ctx.roles == _ONLINE
+        crowd = ctx.roles == ONLINE
         if spec.update_rule == "replicator":
             accumulator.fold(utility_c, utility_d, include=crowd)
         else:
@@ -796,7 +866,7 @@ def _update_pass(
             ).astype(np.int8)
             if telemetry:
                 crowd_revisions += int(np.sum(crowd & (switched != ctx.action)))
-            crowd_behavior[chunk.offset : chunk.offset + ctx.n] = np.where(
+            crowd_behavior[offset : offset + ctx.n] = np.where(
                 crowd, switched, ctx.action
             )
     next_selected = _selected_best_responses(engine, aggregates, sel_action)
@@ -857,7 +927,7 @@ def run_population_dynamics(
         labels=("scheme",),
     )
     engine = _build_engine(spec, resolved.name, structure)
-    # closing() releases the churn spill however the run ends.
+    # closing() releases the column spill however the run ends.
     with closing(engine), span(
         "dynamics.run", agents=spec.population.size, epochs=spec.n_epochs
     ):
@@ -873,7 +943,6 @@ def run_population_dynamics(
                 engine,
                 aggregates,
                 epoch - 1,
-                thresholds,
                 sel_action,
                 crowd_behavior,
                 share,
@@ -903,7 +972,7 @@ def _replayed_stake(engine: _Engine, chunk: PopulationArrays, epoch: int) -> np.
     The oracle's own reference for the carried churn state: it redraws
     every round from scratch with the same columns and the same
     position-preserving ``np.where`` updates, then pins the selected
-    agents once, sharing no state with :func:`_epoch_stake`.  O(epoch)
+    agents once, sharing no state with the engine's column carry.  O(epoch)
     draws per call, so O(epochs^2) over a run — fine at oracle sizes.
     """
     stake = chunk.stake64()
@@ -930,12 +999,8 @@ def _replayed_stake(engine: _Engine, chunk: PopulationArrays, epoch: int) -> np.
         raise ConfigurationError(
             "churn family produced non-positive or non-finite stakes"
         )
-    structure = engine.structure
-    in_chunk = (structure.selected_index >= chunk.offset) & (
-        structure.selected_index < chunk.offset + chunk.n_agents
-    )
-    local = structure.selected_index[in_chunk] - chunk.offset
-    stake[local] = structure.selected_stake[in_chunk]
+    in_chunk, local = _selected_rows(engine.structure, chunk.offset, chunk.n_agents)
+    stake[local] = engine.structure.selected_stake[in_chunk]
     return stake
 
 
@@ -987,24 +1052,18 @@ def oracle_population_dynamics(
     config = spec.audit_config()
     structure = _build_structure([resolved], pop, config)
     engine = _build_engine(spec, resolved.name, structure)
-    engine.close()  # churn is replayed by _replayed_stake, not carried
+    engine.close()  # the oracle realizes its own columns; no spill needed
     population = pop.materialize()
     n = population.n_agents
     base_ctx = _chunk_context(structure, pop, population)
     roles, sync = base_ctx.roles, base_ctx.sync
-    crowd = np.flatnonzero(roles == _ONLINE)
+    crowd = np.flatnonzero(roles == ONLINE)
     selected = [int(j) for j in structure.selected_index]
-
-    role_of = {
-        _LEADER: PlayerRole.LEADER,
-        _COMMITTEE: PlayerRole.COMMITTEE,
-        _ONLINE: PlayerRole.ONLINE,
-    }
 
     def build_game(stake: np.ndarray) -> AlgorandGame:
         players = {
             j: Player(
-                node_id=j, stake=float(stake[j]), role=role_of[int(roles[j])]
+                node_id=j, stake=float(stake[j]), role=PlayerRole(ROLES[int(roles[j])])
             )
             for j in range(n)
         }
@@ -1025,7 +1084,7 @@ def oracle_population_dynamics(
         )
         profile: Dict[int, Strategy] = {}
         for j in range(n):
-            if roles[j] != _ONLINE:
+            if roles[j] != ONLINE:
                 profile[j] = sel_actions[j]
             else:
                 level = p_sync if sync[j] else p_nonsync

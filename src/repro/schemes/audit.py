@@ -56,15 +56,18 @@ from repro.core.game import (
 )
 from repro.core.optimizer import minimize_reward_analytic
 from repro.errors import AuditError, ConfigurationError
-from repro.schemes.base import RewardScheme, SchemeSplit, WeightKind
+from repro.schemes.base import (
+    COMMITTEE,
+    LEADER,
+    ONLINE,
+    ROLES,
+    TARGETS,
+    RewardScheme,
+    SchemeSplit,
+    WeightKind,
+)
 from repro.schemes.registry import SchemeLike, resolve_scheme
 from repro.sim.rng import derive_seed
-
-#: Role codes used throughout the batched arrays.
-_LEADER, _COMMITTEE, _ONLINE = 0, 1, 2
-
-#: Deviation target order in the gains tensor: to-C, to-D, to-O.
-_TARGETS: Tuple[str, ...] = ("C", "D", "O")
 
 #: Stake distributions the audit grid may reference.
 STAKE_KINDS: Tuple[str, ...] = ("uniform", "normal", "whale_mix")
@@ -373,16 +376,16 @@ def _build_cell(
     # sample without replacement (leaders first, then the committee).
     keys = rng.exponential(1.0, (B, N)) / stakes
     order = np.argsort(keys, axis=1, kind="stable")
-    roles = np.full((B, N), _ONLINE, dtype=np.int8)
+    roles = np.full((B, N), ONLINE, dtype=np.int8)
     rows = np.arange(B)[:, None]
-    roles[rows, order[:, : config.n_leaders]] = _LEADER
+    roles[rows, order[:, : config.n_leaders]] = LEADER
     roles[
         rows, order[:, config.n_leaders : config.n_leaders + config.committee_size]
-    ] = _COMMITTEE
+    ] = COMMITTEE
 
     # Strong synchrony set: a uniform draw among the online players.
     sync_keys = rng.random((B, N))
-    sync_keys[roles != _ONLINE] = np.inf
+    sync_keys[roles != ONLINE] = np.inf
     sync_order = np.argsort(sync_keys, axis=1, kind="stable")
     sync = np.zeros((B, N), dtype=bool)
     sync[rows, sync_order[:, : config.synchrony_size()]] = True
@@ -390,7 +393,7 @@ def _build_cell(
     coop = (
         np.ones((B, N), dtype=bool)
         if config.target == "all_c"
-        else (roles != _ONLINE) | sync
+        else (roles != ONLINE) | sync
     )
 
     base = RoleCosts.paper_defaults()
@@ -405,9 +408,9 @@ def _build_cell(
     betas = np.empty(B)
     b_i = np.empty(B)
     for b in range(B):
-        leader_stakes = stakes[b][roles[b] == _LEADER]
-        committee_stakes = stakes[b][roles[b] == _COMMITTEE]
-        online_stakes = stakes[b][roles[b] == _ONLINE]
+        leader_stakes = stakes[b][roles[b] == LEADER]
+        committee_stakes = stakes[b][roles[b] == COMMITTEE]
+        online_stakes = stakes[b][roles[b] == ONLINE]
         sync_stakes = stakes[b][sync[b]]
         aggregates = RoleAggregates(
             stake_leaders=float(leader_stakes.sum()),
@@ -479,11 +482,10 @@ def _pool_tables(
         fractions[b] = [pool.fraction for pool in pools]
 
     lookup = np.zeros((P, 3, 2), dtype=bool)
-    role_index = {"leader": _LEADER, "committee": _COMMITTEE, "online": _ONLINE}
     action_index = {"C": 0, "D": 1}
     for p, pool in enumerate(reference):
         for role, action in pool.members:
-            lookup[p, role_index[role], action_index[action]] = True
+            lookup[p, ROLES.index(role), action_index[action]] = True
 
     cost_vec = np.array(
         [cell.costs.leader, cell.costs.committee, cell.costs.online]
@@ -505,7 +507,7 @@ def _vectorized_gains(scheme: RewardScheme, cell: _Cell) -> np.ndarray:
     """Deviation gains for every player and alternative, shape (3, B, N).
 
     Entry ``[t, b, j]`` is the payoff gain of player ``j`` in population
-    ``b`` unilaterally switching to ``_TARGETS[t]``; ``nan`` marks the
+    ``b`` unilaterally switching to ``TARGETS[t]``; ``nan`` marks the
     player's current strategy (not a deviation).
     """
     B, N = cell.stakes.shape
@@ -558,15 +560,15 @@ def _vectorized_gains(scheme: RewardScheme, cell: _Cell) -> np.ndarray:
     base_utility = base_rewards - current_cost
 
     # Does a cooperator's withdrawal (to D or O) break the block?
-    coop_leaders = ((cell.roles == _LEADER) & cell.coop).sum(axis=1)  # (B,)
+    coop_leaders = ((cell.roles == LEADER) & cell.coop).sum(axis=1)  # (B,)
     sole_leader = (
-        (cell.roles == _LEADER) & cell.coop & (coop_leaders == 1)[:, None]
+        (cell.roles == LEADER) & cell.coop & (coop_leaders == 1)[:, None]
     )
-    committee_stake = np.where(cell.roles == _COMMITTEE, cell.stakes, 0.0)
+    committee_stake = np.where(cell.roles == COMMITTEE, cell.stakes, 0.0)
     committee_coop = (committee_stake * cell.coop).sum(axis=1)
     quorum_threshold = cell.quorum * committee_stake.sum(axis=1)
     quorum_break = (
-        (cell.roles == _COMMITTEE)
+        (cell.roles == COMMITTEE)
         & cell.coop
         & ((committee_coop[:, None] - cell.stakes) <= quorum_threshold[:, None])
     )
@@ -609,10 +611,11 @@ def _oracle_gains(
     """
     b = population
     N = cell.stakes.shape[1]
-    role_of = {_LEADER: PlayerRole.LEADER, _COMMITTEE: PlayerRole.COMMITTEE, _ONLINE: PlayerRole.ONLINE}
     players = {
         j: Player(
-            node_id=j, stake=float(cell.stakes[b, j]), role=role_of[int(cell.roles[b, j])]
+            node_id=j,
+            stake=float(cell.stakes[b, j]),
+            role=PlayerRole(ROLES[int(cell.roles[b, j])]),
         )
         for j in range(N)
     }
@@ -634,7 +637,7 @@ def _oracle_gains(
     base = game.payoffs(profile)
     strategy_of = {"C": Strategy.COOPERATE, "D": Strategy.DEFECT, "O": Strategy.OFFLINE}
     gains = np.full((3, N), np.nan)
-    for t, target in enumerate(_TARGETS):
+    for t, target in enumerate(TARGETS):
         alternative = strategy_of[target]
         for j in range(N):
             if profile[j] is alternative:
@@ -679,16 +682,13 @@ def _audit_cell(scheme: RewardScheme, cell: _Cell, config: AuditConfig) -> CellA
     witness: Optional[DeviationWitness] = None
     if max_gain > config.epsilon:
         t, b, j = np.unravel_index(int(np.nanargmax(gains)), gains.shape)
-        role_name = {_LEADER: "leader", _COMMITTEE: "committee", _ONLINE: "online"}[
-            int(cell.roles[b, j])
-        ]
         witness = DeviationWitness(
             population=int(b),
             player=int(j),
-            role=role_name,
+            role=ROLES[int(cell.roles[b, j])],
             stake=float(cell.stakes[b, j]),
             from_strategy="C" if cell.coop[b, j] else "D",
-            to_strategy=_TARGETS[t],
+            to_strategy=TARGETS[t],
             gain=max_gain,
         )
     return CellAudit(

@@ -44,9 +44,16 @@ from repro.errors import SchemeError
 #: Role names a pool membership may reference (PlayerRole values).
 ROLES: Tuple[str, ...] = ("leader", "committee", "online")
 
+#: Role codes of the vectorized audit and dynamics arrays: each role's
+#: index in :data:`ROLES`.
+LEADER, COMMITTEE, ONLINE = 0, 1, 2
+
 #: Actions a pool membership may reference.  Offline players forfeit all
 #: rewards (paper Lemma 1), so ``"O"`` is never a member action.
 ACTIONS: Tuple[str, ...] = ("C", "D")
+
+#: Deviation target order of the audits' gain tensors: to-C, to-D, to-O.
+TARGETS: Tuple[str, ...] = ("C", "D", "O")
 
 #: Tolerance on the pool-fraction sum (schemes must be budget-balanced).
 FRACTION_TOLERANCE = 1e-9

@@ -68,8 +68,17 @@ from repro.populations.arrays import (
     blockwise_sum,
 )
 from repro.populations.spec import PopulationSpec
-from repro.schemes.audit import _COMMITTEE, _LEADER, _ONLINE, _TARGETS, DeviationWitness
-from repro.schemes.base import RewardScheme, SchemeSplit, WeightKind
+from repro.schemes.audit import DeviationWitness
+from repro.schemes.base import (
+    COMMITTEE,
+    LEADER,
+    ONLINE,
+    ROLES,
+    TARGETS,
+    RewardScheme,
+    SchemeSplit,
+    WeightKind,
+)
 from repro.schemes.registry import SchemeLike, resolve_scheme
 from repro.telemetry.metrics import DEFAULT_TIME_BUCKETS
 from repro.telemetry.runtime import get_registry
@@ -260,6 +269,9 @@ class _Structure:
     tables: Dict[str, _PoolTables]
     committee_stake_total: float
     quorum_threshold: float
+    #: Strong-synchrony agents in the online crowd (the selected agents'
+    #: draws excluded: they perform their role).
+    crowd_sync: int
     #: Strong-synchrony agents whose target-profile action is defect
     #: (only possible under the ``population`` target).  One or more
     #: means the base profile produces **no block**: nobody earns
@@ -279,11 +291,10 @@ def _pool_tables(scheme: RewardScheme, split: SchemeSplit) -> _PoolTables:
     pools = scheme.pools(split)
     P = len(pools)
     lookup = np.zeros((P, 3, 2), dtype=bool)
-    role_index = {"leader": _LEADER, "committee": _COMMITTEE, "online": _ONLINE}
     action_index = {"C": 0, "D": 1}
     for p, pool in enumerate(pools):
         for role, action in pool.members:
-            lookup[p, role_index[role], action_index[action]] = True
+            lookup[p, ROLES.index(role), action_index[action]] = True
     return _PoolTables(
         fractions=np.array([pool.fraction for pool in pools], dtype=np.float64),
         lookup=lookup,
@@ -462,12 +473,12 @@ def _build_structure_grid(
     """Pass 1, fused: one stream selects, calibrates and totals every cell.
 
     Selection (the exponential race and its top-k merge), synchrony
-    draws, the defect census and the stake totals are cell-independent
-    and computed once.  Pool totals and the Theorem 3 calibration depend
-    on ``cost_scale`` only — they are accumulated per cost scale (and,
-    for schemes with no COST-kind pool, shared) — while
-    ``budget_multiplier`` enters only through the final
-    ``b_i = multiplier x optimum`` scalar.  Each returned
+    draws and the crowd's synchrony count, the defect census and the
+    stake totals are cell-independent and computed once.  Pool totals
+    and the Theorem 3 calibration depend on ``cost_scale`` only — they
+    are accumulated per cost scale (and, for schemes with no COST-kind
+    pool, shared) — while ``budget_multiplier`` enters only through the
+    final ``b_i = multiplier x optimum`` scalar.  Each returned
     ``(budget_multiplier, cost_scale)`` cell is therefore bit-identical
     to the structure :func:`_build_structure` builds for that cell's
     single-cell config, at every chunk size.
@@ -489,6 +500,7 @@ def _build_structure_grid(
     sync_carry: Optional[Tuple[np.ndarray, ...]] = None
     defect_carry: Optional[Tuple[np.ndarray, ...]] = None
     defect_count = 0
+    sync_count = 0
     # Raw per-pool totals treat every agent as online crowd; the k
     # selected agents are corrected afterwards (k is tiny).  Totals are
     # keyed (scheme, cost_scale): COST-kind pool weights scale with the
@@ -530,6 +542,7 @@ def _build_structure_grid(
         )
         index = chunk.offset + np.arange(chunk.n_agents, dtype=np.int64)
         sync = _sync_mask(spec, config, chunk)
+        sync_count += int(np.count_nonzero(sync))
         actions = _online_actions(config, chunk, sync)
 
         # Local pre-trim before the merge keeps the carried state O(k).
@@ -578,10 +591,10 @@ def _build_structure_grid(
                 k + 1,
             )
 
-        roles_online = np.full(chunk.n_agents, _ONLINE, dtype=np.int8)
+        roles_online = np.full(chunk.n_agents, ONLINE, dtype=np.int8)
         for scheme in schemes:
             table = reference_tables[scheme.name]
-            member = table.lookup[:, _ONLINE, :][:, actions]  # (P, n)
+            member = table.lookup[:, ONLINE, :][:, actions]  # (P, n)
             # Cost-independent schemes total once (first scale's slot).
             scales = cost_scales if cost_scaled[scheme.name] else cost_scales[:1]
             for cs in scales:
@@ -603,8 +616,8 @@ def _build_structure_grid(
 
     assert race_carry is not None
     _keys, sel_index, sel_stake, sel_cost, sel_sync, sel_action = race_carry
-    selected_role = np.full(k, _COMMITTEE, dtype=np.int8)
-    selected_role[: config.n_leaders] = _LEADER
+    selected_role = np.full(k, COMMITTEE, dtype=np.int8)
+    selected_role[: config.n_leaders] = LEADER
 
     # Correct the pool totals: selected agents leave the online crowd
     # (with the action they would have played there) and join as
@@ -623,11 +636,11 @@ def _build_structure_grid(
                     elif kind is WeightKind.STAKE_POWER:
                         old_w = new_w = float(sel_stake[j] ** table.exponents[p])
                     else:
-                        old_w = float(cost_vec[_ONLINE] * sel_cost[j])
+                        old_w = float(cost_vec[ONLINE] * sel_cost[j])
                         new_w = float(
                             cost_vec[int(selected_role[j])] * sel_cost[j]
                         )
-                    if table.lookup[p, _ONLINE, int(sel_action[j])]:
+                    if table.lookup[p, ONLINE, int(sel_action[j])]:
                         totals[p] -= old_w
                     if table.lookup[p, int(selected_role[j]), 0]:
                         totals[p] += new_w
@@ -724,6 +737,7 @@ def _build_structure_grid(
                 tables=tables,
                 committee_stake_total=committee_stake_total,
                 quorum_threshold=quorum_threshold,
+                crowd_sync=sync_count - int(np.count_nonzero(sel_sync)),
                 sync_defectors=sync_defectors,
                 sole_sync_defector=sole_sync_defector,
             )
@@ -776,58 +790,59 @@ class _ChunkContext:
     cost_vec: np.ndarray  # (3,) role cooperation costs
 
 
+def _selected_rows(
+    structure: _Structure, offset: int, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The selected agents in ``[offset, offset + n)``.
+
+    Returns ``(in_chunk, local)``: a mask over the selection order and
+    those agents' chunk-local rows.
+    """
+    index = structure.selected_index
+    in_chunk = (index >= offset) & (index < offset + n)
+    return in_chunk, (index[in_chunk] - offset).astype(np.int64)
+
+
+def _chunk_roles(structure: _Structure, offset: int, n: int) -> np.ndarray:
+    """Role codes of one chunk: online crowd except the selected in it."""
+    roles = np.full(n, ONLINE, dtype=np.int8)
+    in_chunk, local = _selected_rows(structure, offset, n)
+    roles[local] = structure.selected_role[in_chunk]
+    return roles
+
+
 def _chunk_context(
     structure: _Structure,
     spec: PopulationSpec,
     chunk: PopulationArrays,
     stake: Optional[np.ndarray] = None,
-    actions: Optional[np.ndarray] = None,
     sync: Optional[np.ndarray] = None,
 ) -> _ChunkContext:
     """Realize one chunk's roles, synchrony and target-profile actions.
 
-    The audit calls this with defaults: stakes come from the chunk and
-    actions from the configured target profile (selected agents forced to
-    cooperate).  The streamed dynamics driver shares the same pass but
-    overrides ``stake`` (churned stakes) and ``actions`` (the epoch's
-    realized strategy profile, 0=C / 1=D for *every* position including
-    the selected agents, which revise by best response there instead of
-    performing unconditionally).  The fused grid pass overrides ``sync``
-    with the chunk's pre-selection Bernoulli draws so one
-    :func:`_sync_mask` evaluation serves every grid cell; the draws are
-    copied before the selection mask is applied, so a shared array is
-    never mutated.
+    Stakes come from the chunk and actions from the configured target
+    profile (selected agents forced to cooperate).  The fused grid pass
+    passes the chunk's widened ``stake`` and overrides ``sync`` with its
+    pre-selection Bernoulli draws, so one :func:`_sync_mask` evaluation
+    serves every grid cell; the draws are copied before the selection
+    mask is applied, so a shared array is never mutated.
     """
     config = structure.config
     n = chunk.n_agents
-    stake = chunk.stake64() if stake is None else np.asarray(stake, dtype=np.float64)
+    stake = chunk.stake64() if stake is None else stake
     cost_multiplier = chunk.cost64()
     cost_vec = np.array(
         [structure.costs.leader, structure.costs.committee, structure.costs.online]
     )
-
-    # Roles: online crowd except the selected agents that fall in-chunk.
-    roles = np.full(n, _ONLINE, dtype=np.int8)
-    in_chunk = (structure.selected_index >= chunk.offset) & (
-        structure.selected_index < chunk.offset + n
-    )
-    local_selected = (structure.selected_index[in_chunk] - chunk.offset).astype(
-        np.int64
-    )
-    roles[local_selected] = structure.selected_role[in_chunk]
-
+    roles = _chunk_roles(structure, chunk.offset, n)
     if sync is None:
         sync = _sync_mask(spec, config, chunk)
     else:
         sync = np.array(sync, dtype=bool, copy=True)
-    sync[roles != _ONLINE] = False
-    if actions is None:
-        actions = _online_actions(config, chunk, sync)
-        coop = actions == 0
-        coop[roles != _ONLINE] = True  # the selected always perform their role
-    else:
-        actions = np.asarray(actions, dtype=np.int8)
-        coop = actions == 0
+    sync[roles != ONLINE] = False
+    actions = _online_actions(config, chunk, sync)
+    coop = actions == 0
+    coop[roles != ONLINE] = True  # the selected always perform their role
     return _ChunkContext(
         offset=chunk.offset,
         n=n,
@@ -897,8 +912,8 @@ def _chunk_gains(
         # member whose exit drops the tally below quorum, or any
         # strong-synchrony cooperator (all leaders/committee cooperate
         # by construction of the target profile).
-        sole_leader = (ctx.roles == _LEADER) & (structure.config.n_leaders == 1)
-        quorum_break = (ctx.roles == _COMMITTEE) & (
+        sole_leader = (ctx.roles == LEADER) & (structure.config.n_leaders == 1)
+        quorum_break = (ctx.roles == COMMITTEE) & (
             (structure.committee_stake_total - ctx.stake)
             <= structure.quorum_threshold
         )
@@ -952,8 +967,6 @@ class _GainReducer:
     (smaller agent index, then target order C, D, O).
     """
 
-    _ROLE_NAMES = {_LEADER: "leader", _COMMITTEE: "committee", _ONLINE: "online"}
-
     def __init__(self, structure: _Structure) -> None:
         self._structure = structure
         self.max_gain = -math.inf
@@ -975,17 +988,17 @@ class _GainReducer:
             # (agent, target) pair at the maximum — the canonical witness.
             flat = int(np.argmax(gains == chunk_max))
             j, t = divmod(flat, 3)
-            role = _ONLINE
+            role = ONLINE
             hit = np.flatnonzero(structure.selected_index == chunk.offset + j)
             if hit.size:
                 role = int(structure.selected_role[hit[0]])
             self.witness = DeviationWitness(
                 population=0,
                 player=int(chunk.offset + j),
-                role=self._ROLE_NAMES[role],
+                role=ROLES[role],
                 stake=float(chunk.stake64()[j]),
                 from_strategy="C" if coop[j] else "D",
-                to_strategy=_TARGETS[t],
+                to_strategy=TARGETS[t],
                 gain=chunk_max,
             )
         # Cooperators' D and O columns; nan when the chunk has none.
@@ -1372,21 +1385,18 @@ def oracle_population_gains(
     stake = population.stake64()
     n = population.n_agents
 
-    roles = np.full(n, _ONLINE, dtype=np.int8)
+    roles = np.full(n, ONLINE, dtype=np.int8)
     roles[structure.selected_index] = structure.selected_role
     sync = _sync_mask(spec, config, population)
-    sync[roles != _ONLINE] = False
+    sync[roles != ONLINE] = False
     actions = _online_actions(config, population, sync)
     coop = actions == 0
-    coop[roles != _ONLINE] = True
+    coop[roles != ONLINE] = True
 
-    role_of = {
-        _LEADER: PlayerRole.LEADER,
-        _COMMITTEE: PlayerRole.COMMITTEE,
-        _ONLINE: PlayerRole.ONLINE,
-    }
     players = {
-        j: Player(node_id=j, stake=float(stake[j]), role=role_of[int(roles[j])])
+        j: Player(
+            node_id=j, stake=float(stake[j]), role=PlayerRole(ROLES[int(roles[j])])
+        )
         for j in range(n)
     }
     game = AlgorandGame(
@@ -1408,7 +1418,7 @@ def oracle_population_gains(
         "O": Strategy.OFFLINE,
     }
     gains = np.full((n, 3), np.nan)
-    for t, target in enumerate(_TARGETS):
+    for t, target in enumerate(TARGETS):
         alternative = strategy_of[target]
         for j in range(n):
             if profile[j] is alternative:

@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schemes.audit import _TARGETS
+from repro.schemes.base import TARGETS
 from repro.schemes.base import WeightKind
 from repro.schemes.population_audit import (
     _ChunkContext,
@@ -145,7 +145,7 @@ def _reference_fold(chunks):
             if chunk_max > max_gain:
                 max_gain = chunk_max
                 j, t = divmod(int(np.nanargmax(gains)), 3)
-                witness = (offset + j, "C" if coop[j] else "D", _TARGETS[t])
+                witness = (offset + j, "C" if coop[j] else "D", TARGETS[t])
         shirk = np.where(coop[:, None], gains[:, 1:], np.nan)
         if not bool(np.all(np.isnan(shirk))):
             max_shirk = max(max_shirk, float(np.nanmax(shirk)))

@@ -2,8 +2,9 @@
 
 Spec validation and round-trips, the golden-trajectory replay contract
 (Section V's conclusions are pinned bit-exactly), stake churn with
-selected-agent pinning, the carried churn state against the oracle's
-cumulative replay (and its spill file's lifetime), the
+selected-agent pinning, the carried epoch columns (churned or not)
+against a fresh synthesis and the oracle's cumulative churn replay (and
+the spill file's lifetime), the
 campaign/orchestrator integration, and the ``repro-runner dynamics``
 experiment surface.
 """
@@ -14,6 +15,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -28,7 +30,11 @@ from repro.scenarios.population_dynamics import (
     run_population_dynamics,
     run_population_dynamics_campaign,
 )
-from repro.schemes.population_audit import _build_structure, _chunks
+from repro.schemes.population_audit import (
+    _build_structure,
+    _chunk_context,
+    _chunks,
+)
 from repro.schemes.registry import resolve_scheme
 
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -234,7 +240,9 @@ class TestEngineBehavior:
 
 
 class TestChurnCarry:
-    """Churn carried epoch to epoch equals the oracle's full replay."""
+    """The column carry, churned or not, equals a fresh synthesis."""
+
+    THRESHOLDS = (0.3, 0.1)  # (non-sync, sync) defection levels
 
     @staticmethod
     def _churned(**overrides) -> PopulationDynamicsSpec:
@@ -245,6 +253,13 @@ class TestChurnCarry:
         }
         settings.update(overrides)
         return _spec(**settings)
+
+    @staticmethod
+    def _engine(spec: PopulationDynamicsSpec):
+        structure = _build_structure(
+            [resolve_scheme("role_based")], spec.population, spec.audit_config()
+        )
+        return population_dynamics._build_engine(spec, "role_based", structure)
 
     @staticmethod
     def _record_spills(monkeypatch):
@@ -261,31 +276,109 @@ class TestChurnCarry:
         )
         return opened
 
-    def test_carried_stakes_equal_the_replay_for_60_epochs(self):
-        spec = self._churned(n_epochs=60)
-        structure = _build_structure(
-            [resolve_scheme("role_based")], spec.population, spec.audit_config()
+    def _expected_actions(self, engine, chunk, sync, epoch, sel_action):
+        uniforms = engine.spec.population.chunk_draws(
+            chunk.offset,
+            chunk.n_agents,
+            f"dynamics.realize.{epoch}",
+            lambda rng, n: rng.random(n),
         )
-        engine = population_dynamics._build_engine(spec, "role_based", structure)
+        level = np.where(sync, self.THRESHOLDS[1], self.THRESHOLDS[0])
+        actions = (uniforms < level).astype(np.int8)
+        for j, agent in enumerate(engine.structure.selected_index):
+            if chunk.offset <= agent < chunk.offset + chunk.n_agents:
+                actions[agent - chunk.offset] = sel_action[j]
+        return actions
+
+    @pytest.mark.parametrize("churn_rate", [0.2, 0.0], ids=["churned", "churn-free"])
+    def test_carried_columns_equal_a_fresh_synthesis_for_60_epochs(self, churn_rate):
+        population = _population(size=2 * SEED_BLOCK + 700, seed=5, cost_jitter=0.3)
+        spec = self._churned(
+            population=population, n_epochs=60, churn_rate=churn_rate
+        )
+        engine = self._engine(spec)
+        structure = engine.structure
         chunks = list(_chunks(spec.population, engine.config))
         assert len(chunks) == 3
+        sel_action = (np.arange(structure.config.n_selected) % 2).astype(np.int8)
         try:
-            for epoch in range(1, spec.n_epochs + 1):
+            for epoch in range(spec.n_epochs + 1):
+                population_dynamics._measure_pass(
+                    engine, epoch, self.THRESHOLDS, sel_action, None
+                )
                 for chunk in chunks:
-                    measured = population_dynamics._epoch_stake(engine, chunk, epoch)
+                    fresh = _chunk_context(structure, spec.population, chunk)
+                    stake, cost, sync, action = engine.carry.read(chunk.offset)
                     replayed = population_dynamics._replayed_stake(
                         engine, chunk, epoch
                     )
-                    assert measured.tobytes() == replayed.tobytes()
-                    # The update pass re-reads the held epoch unchanged.
-                    held = population_dynamics._epoch_stake(engine, chunk, epoch)
-                    assert held.tobytes() == measured.tobytes()
-            with pytest.raises(RuntimeError, match="neither"):
-                population_dynamics._epoch_stake(engine, chunks[0], spec.n_epochs + 2)
-            with pytest.raises(RuntimeError, match="neither"):
-                population_dynamics._epoch_stake(engine, chunks[0], spec.n_epochs - 1)
+                    assert stake.tobytes() == replayed.tobytes()
+                    assert cost.tobytes() == chunk.cost64().tobytes()
+                    assert sync.tobytes() == fresh.sync.tobytes()
+                    expected = self._expected_actions(
+                        engine, chunk, fresh.sync, epoch, sel_action
+                    )
+                    assert action.tobytes() == expected.tobytes()
+                    # The update pass replays the held epoch unchanged.
+                    held = population_dynamics._replayed_context(
+                        engine, chunk.offset, epoch
+                    )
+                    assert held.stake.tobytes() == replayed.tobytes()
+                    assert held.action.tobytes() == expected.tobytes()
+                    assert held.roles.tobytes() == fresh.roles.tobytes()
+                    assert held.coop_cost.tobytes() == fresh.coop_cost.tobytes()
         finally:
             engine.close()
+
+    def test_out_of_order_epochs_raise(self):
+        engine = self._engine(self._churned(n_epochs=3))
+        offset = 0
+        sel_action = np.zeros(engine.structure.config.n_selected, dtype=np.int8)
+
+        def measure(epoch):
+            population_dynamics._measured_context(
+                engine, offset, epoch, self.THRESHOLDS, sel_action, None
+            )
+
+        def replay(epoch):
+            population_dynamics._replayed_context(engine, offset, epoch)
+
+        try:
+            with pytest.raises(RuntimeError, match="holds epoch -1"):
+                replay(0)  # nothing measured yet
+            with pytest.raises(RuntimeError, match="holds epoch -1"):
+                measure(1)
+            population_dynamics._measure_pass(
+                engine, 0, self.THRESHOLDS, sel_action, None
+            )
+            measure(1)
+            for epoch in (0, 1, 3):  # re-measure, rewind, skip
+                with pytest.raises(RuntimeError, match="cannot stream epoch"):
+                    measure(epoch)
+            for epoch in (0, 2):
+                with pytest.raises(RuntimeError, match="cannot stream epoch"):
+                    replay(epoch)
+            replay(1)
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("n_epochs", [1, 6])
+    @pytest.mark.parametrize("update_rule", UPDATE_RULES)
+    def test_a_run_synthesizes_each_block_twice(
+        self, monkeypatch, n_epochs, update_rule
+    ):
+        """The structure pass and the epoch-0 measure pass, at any E."""
+        calls = []
+        real = PopulationSpec.block
+
+        def counting(population, block_index):
+            calls.append(block_index)
+            return real(population, block_index)
+
+        monkeypatch.setattr(PopulationSpec, "block", counting)
+        spec = self._churned(n_epochs=n_epochs, update_rule=update_rule)
+        run_population_dynamics(spec, "role_based")
+        assert sorted(calls) == sorted(2 * list(range(spec.population.n_blocks)))
 
     def test_the_spill_is_closed_after_a_run(self, monkeypatch):
         opened = self._record_spills(monkeypatch)
@@ -293,7 +386,8 @@ class TestChurnCarry:
         assert len(opened) == 1
         assert opened[0].closed
         run_population_dynamics(_spec(n_epochs=2), "role_based")
-        assert len(opened) == 1  # churn-free runs keep no spill
+        assert len(opened) == 2  # churn-free runs carry their columns too
+        assert opened[1].closed
 
     def test_the_spill_is_closed_when_the_run_raises(self, monkeypatch):
         spec = self._churned(n_epochs=4)
