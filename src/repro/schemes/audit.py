@@ -57,6 +57,7 @@ from repro.core.game import (
 from repro.core.optimizer import minimize_reward_analytic
 from repro.errors import AuditError, ConfigurationError
 from repro.schemes.base import (
+    ACTIONS,
     COMMITTEE,
     LEADER,
     ONLINE,
@@ -482,10 +483,9 @@ def _pool_tables(
         fractions[b] = [pool.fraction for pool in pools]
 
     lookup = np.zeros((P, 3, 2), dtype=bool)
-    action_index = {"C": 0, "D": 1}
     for p, pool in enumerate(reference):
         for role, action in pool.members:
-            lookup[p, ROLES.index(role), action_index[action]] = True
+            lookup[p, ROLES.index(role), ACTIONS.index(action)] = True
 
     cost_vec = np.array(
         [cell.costs.leader, cell.costs.committee, cell.costs.online]

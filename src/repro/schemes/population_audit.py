@@ -70,6 +70,7 @@ from repro.populations.arrays import (
 from repro.populations.spec import PopulationSpec
 from repro.schemes.audit import DeviationWitness
 from repro.schemes.base import (
+    ACTIONS,
     COMMITTEE,
     LEADER,
     ONLINE,
@@ -291,10 +292,9 @@ def _pool_tables(scheme: RewardScheme, split: SchemeSplit) -> _PoolTables:
     pools = scheme.pools(split)
     P = len(pools)
     lookup = np.zeros((P, 3, 2), dtype=bool)
-    action_index = {"C": 0, "D": 1}
     for p, pool in enumerate(pools):
         for role, action in pool.members:
-            lookup[p, ROLES.index(role), action_index[action]] = True
+            lookup[p, ROLES.index(role), ACTIONS.index(action)] = True
     return _PoolTables(
         fractions=np.array([pool.fraction for pool in pools], dtype=np.float64),
         lookup=lookup,
