@@ -1,10 +1,10 @@
-"""CI guard: the fused grid audit's gain bits must match the goldens.
+"""CI guard: the audits' gain bits must match the goldens.
 
 The golden JSON fixtures under ``tests/schemes/golden/`` pin every cell
-of two fused (scheme x budget x cost-scale) audits bit for bit:
-``max_gain``, ``max_shirk_gain``, ``n_deviations``, the verdict and the
-witness (its gain and stake included), with every float stored as
-``float.hex``.
+of two fused (scheme x budget x cost-scale) population audits and of two
+batch audits bit for bit: ``max_gain``, ``max_shirk_gain``,
+``n_deviations``, the verdict and the witness (its gain and stake
+included), with every float stored as ``float.hex``.
 
 * ``population_audit_grid_theorem3.json`` — a chunked 2x10^4-agent Zipf
   population under the Theorem 3 target, all five schemes, budgets
@@ -13,6 +13,11 @@ witness (its gain and stake included), with every float stored as
   on two small uniform populations: one whose base block fails (several
   strong-synchrony defectors) and one with a sole sync defector, whose
   switch to C is the only deviation that earns a reward.
+* ``audit_batch.json`` — the batch engine
+  (:func:`repro.schemes.audit.audit_schemes`, the tournament's IC
+  margins) on all five schemes: the default ``AuditConfig`` grid and an
+  All-C grid over every stake kind.  Each cell also pins the oracle
+  cross-check's ``oracle_max_diff`` and the witness's population.
 
 The perfbench digest leaves the float gains out on purpose, and the
 fused-versus-per-cell tests compare two callers of one kernel, so this
@@ -42,13 +47,19 @@ BUDGETS = (0.5, 1.0, 1.5, 2.0)
 COST_SCALES = (0.5, 1.0, 2.0)
 
 
+#: Every pinned variant; ``batch`` runs the batch engine, the rest the
+#: fused population grid.
+VARIANTS = ("theorem3", "population", "batch")
+
+
 def golden_path(variant: str) -> Path:
-    """Fixture location for one pinned grid variant."""
-    return _GOLDEN_DIR / f"population_audit_grid_{variant}.json"
+    """Fixture location for one pinned variant."""
+    name = "audit_batch" if variant == "batch" else f"population_audit_grid_{variant}"
+    return _GOLDEN_DIR / f"{name}.json"
 
 
 def golden_runs():
-    """Every pinned audit, as ``variant -> [(label, spec, config)]``."""
+    """Every pinned grid audit, as ``variant -> [(label, spec, config)]``."""
     from repro.populations import PopulationSpec
     from repro.schemes.population_audit import PopulationAuditConfig
 
@@ -85,6 +96,21 @@ def golden_runs():
     }
 
 
+def batch_runs():
+    """The pinned batch audits, as ``[(label, config)]``."""
+    from repro.schemes.audit import AuditConfig
+
+    return [
+        ("theorem3", AuditConfig()),
+        (
+            "all_c",
+            AuditConfig(
+                target="all_c", stake_kinds=("uniform", "normal", "whale_mix")
+            ),
+        ),
+    ]
+
+
 def _hex(value: float) -> str:
     return float(value).hex()
 
@@ -111,10 +137,46 @@ def _cell(report) -> dict:
     }
 
 
+def _batch_cell(cell) -> dict:
+    """One batch cell's gain bits, plus its oracle diff and coordinates."""
+    pinned = _cell(cell)
+    pinned["oracle_max_diff"] = _hex(cell.oracle_max_diff)
+    if cell.witness is not None:
+        pinned["witness"]["population"] = cell.witness.population
+    return {
+        "stake_kind": cell.stake_kind,
+        "cost_scale": cell.cost_scale,
+        "budget_multiplier": cell.budget_multiplier,
+        **pinned,
+    }
+
+
+def _batch_payload() -> str:
+    from repro.schemes.audit import audit_schemes
+
+    runs = []
+    for label, config in batch_runs():
+        reports = audit_schemes(SCHEMES, config)
+        runs.append(
+            {
+                "label": label,
+                "target": config.target,
+                "cells": [
+                    _batch_cell(cell)
+                    for scheme in SCHEMES
+                    for cell in reports[scheme].cells
+                ],
+            }
+        )
+    return json.dumps({"runs": runs}, indent=2, sort_keys=True) + "\n"
+
+
 def compute_payload(variant: str) -> str:
     """One variant's pinned cells, serialized canonically."""
     from repro.schemes.population_audit import audit_population_grid
 
+    if variant == "batch":
+        return _batch_payload()
     runs = []
     for label, spec, config in golden_runs()[variant]:
         grid = audit_population_grid(
@@ -155,7 +217,7 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(_REPO_ROOT / "src"))
 
     failed = False
-    for variant in golden_runs():
+    for variant in VARIANTS:
         path = golden_path(variant)
         current = compute_payload(variant)
         if args.write:

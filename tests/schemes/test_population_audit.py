@@ -370,7 +370,7 @@ def _audit_drift_script():
 class TestAuditGoldens:
     """Every grid cell's gain bits replay against the committed goldens."""
 
-    @pytest.mark.parametrize("variant", ["theorem3", "population"])
+    @pytest.mark.parametrize("variant", ["theorem3", "population", "batch"])
     def test_golden_grid_replay_is_bit_identical(self, variant):
         script = _audit_drift_script()
         golden = script.golden_path(variant).read_text()
