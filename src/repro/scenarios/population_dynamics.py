@@ -99,12 +99,11 @@ from repro.schemes.population_audit import (
     _chunk_roles,
     _chunks,
     _ChunkContext,
-    _pool_payments,
-    _pool_weights,
     _selected_rows,
     _Structure,
     _sync_mask,
 )
+from repro.schemes.pools import pool_payments, pool_rates, pool_weights
 from repro.schemes.registry import SchemeLike, resolve_scheme
 from repro.telemetry.metrics import DEFAULT_TIME_BUCKETS
 from repro.telemetry.runtime import get_registry
@@ -364,7 +363,6 @@ class _Engine:
     structure: _Structure
     slice_budget: np.ndarray  # (P,) pool budgets at the calibrated split
     cost_vec: np.ndarray  # (3,) role cooperation costs
-    selected_weights: np.ndarray  # (P, k) pinned selected pool weights
     n_crowd: int
     n_sync: int  # strong-synchrony crowd agents
     n_nonsync: int
@@ -427,13 +425,6 @@ def _build_engine(
         structure=structure,
         slice_budget=table.fractions * structure.b_i,
         cost_vec=cost_vec,
-        selected_weights=_pool_weights(
-            table,
-            structure.selected_stake,
-            structure.selected_cost,
-            structure.selected_role,
-            cost_vec,
-        ),
         n_crowd=n_crowd,
         n_sync=structure.crowd_sync,
         n_nonsync=n_crowd - structure.crowd_sync,
@@ -637,7 +628,7 @@ def _measure_pass(
         )
         if store_behavior is not None:
             store_behavior[offset : offset + ctx.n] = ctx.action
-        weights = _pool_weights(
+        weights = pool_weights(
             table, ctx.stake, ctx.cost_multiplier, ctx.roles, engine.cost_vec
         )
         contribution = weights * table.lookup[:, ctx.roles, ctx.action]
@@ -682,11 +673,7 @@ def _measure_pass(
         and sync_defectors == 0
     )
     totals = weight_coop + weight_defect
-    rates = np.zeros(P, dtype=np.float64)
-    if block_success:
-        for p in range(P):
-            if totals[p] > 0:
-                rates[p] = engine.slice_budget[p] / totals[p]
+    rates = pool_rates(engine.slice_budget, totals) if block_success else np.zeros(P)
     reward_coop = float(np.dot(rates, weight_coop))
     reward_defect = float(np.dot(rates, weight_defect))
 
@@ -730,11 +717,10 @@ def _chunk_counterfactuals(
 
     ``u_C[j]`` / ``u_D[j]`` are agent ``offset + j``'s payoffs if it
     *alone* played C (resp. D) against the realized profile.  The pool
-    algebra is the audit's shared kernel,
-    :func:`~repro.schemes.population_audit._pool_payments`, run with one
-    budget row (the engine's calibrated slice budgets) against the
-    epoch's realized totals; only the block rules differ from the
-    audit's fixed target profile:
+    algebra is the shared kernel, :func:`~repro.schemes.pools.pool_payments`,
+    run with one budget row (the engine's calibrated slice budgets)
+    against the epoch's realized totals; only the block rules differ
+    from the audit's fixed target profile:
 
     * **block produced** — a crowd cooperator's exit breaks the block
       only when it sits in the strong-synchrony set; everyone else's
@@ -744,12 +730,12 @@ def _chunk_counterfactuals(
       leaders and quorum are otherwise fine), whose return to C restores
       the block.
 
-    Valid for online-crowd rows; selected rows are handled scalar-side
-    by :func:`_selected_best_responses` and masked out by the caller.
+    Valid for online-crowd rows; selected rows are revised by
+    :func:`_selected_best_responses` and masked out by the caller.
     """
     payments = (engine.table, aggregates.totals, engine.slice_budget[None, :])
     if aggregates.block_success:
-        _, paid_c, paid_d = _pool_payments(*payments, ctx, base=False)
+        _, paid_c, paid_d = pool_payments(*payments, *ctx.pool_columns, base=False)
         paid_d[:, ctx.sync] = 0.0
         utility_c = paid_c[0] - ctx.coop_cost
         utility_d = paid_d[0] - ctx.sortition_cost
@@ -763,9 +749,24 @@ def _chunk_counterfactuals(
             and ctx.offset <= sole < ctx.offset + ctx.n
         ):
             local = sole - ctx.offset
-            _, paid_c, _ = _pool_payments(*payments, ctx, base=False)
+            _, paid_c, _ = pool_payments(*payments, *ctx.pool_columns, base=False)
             utility_c[local] = paid_c[0, local] - ctx.coop_cost[local]
     return utility_c, utility_d
+
+
+def _best_responses(
+    coop: np.ndarray, utility_c: np.ndarray, utility_d: np.ndarray
+) -> np.ndarray:
+    """Synchronous best-response actions (0=C, 1=D) over {C, D}.
+
+    A strict ``_BR_TOLERANCE`` improvement switches; ties keep the
+    current action (O is dominated by D, so it is never compared).
+    """
+    return np.where(
+        coop,
+        np.where(utility_d > utility_c + _BR_TOLERANCE, 1, 0),
+        np.where(utility_c > utility_d + _BR_TOLERANCE, 0, 1),
+    ).astype(np.int8)
 
 
 def _selected_best_responses(
@@ -773,8 +774,9 @@ def _selected_best_responses(
 ) -> np.ndarray:
     """Exact synchronous best responses of the selected agents.
 
-    Scalar-side pool algebra: each leader/committee member's deviation
-    moves its own pinned pool weight and recomputes the block transition
+    One :func:`~repro.schemes.pools.pool_payments` call prices every
+    leader/committee member's switch to C and to D against the epoch's
+    realized totals; each switch also recomputes the block transition
     (leader count / quorum tally) exactly, matching
     :func:`repro.core.equilibrium.synchronous_best_responses` — strict
     ``> 1e-15`` improvement to switch, ties keep the current action, and
@@ -782,51 +784,38 @@ def _selected_best_responses(
     are compared.
     """
     structure = engine.structure
-    table = engine.table
-    P = len(table.kinds)
-    k = sel_action.size
-    new_actions = sel_action.copy()
-    for j in range(k):
-        role = int(structure.selected_role[j])
-        current = int(sel_action[j])
-        stake = float(structure.selected_stake[j])
-        multiplier = float(structure.selected_cost[j])
-        coop_now = 1 if current == 0 else 0
-        utilities = []
-        for target in (0, 1):
-            coop_new = 1 if target == 0 else 0
-            leaders_after = aggregates.leader_coop
-            tally_after = aggregates.committee_tally
-            if role == LEADER:
-                leaders_after += coop_new - coop_now
-            else:
-                tally_after += (coop_new - coop_now) * stake
-            block_after = (
-                leaders_after >= 1
-                and tally_after > structure.quorum_threshold
-                and aggregates.sync_defectors == 0
-            )
-            reward = 0.0
-            if block_after:
-                for p in range(P):
-                    weight = float(engine.selected_weights[p, j])
-                    now = weight if table.lookup[p, role, current] else 0.0
-                    new = weight if table.lookup[p, role, target] else 0.0
-                    new_total = aggregates.totals[p] - now + new
-                    if new > 0 and new_total > 0:
-                        reward += engine.slice_budget[p] * new / new_total
-            cost = (
-                engine.cost_vec[role]
-                if target == 0
-                else structure.costs.sortition
-            ) * multiplier
-            utilities.append(reward - cost)
-        utility_c, utility_d = utilities
-        if current == 0:
-            new_actions[j] = 1 if utility_d > utility_c + _BR_TOLERANCE else 0
-        else:
-            new_actions[j] = 0 if utility_c > utility_d + _BR_TOLERANCE else 1
-    return new_actions
+    roles = structure.selected_role
+    stake = structure.selected_stake
+    multiplier = structure.selected_cost
+    _, paid_c, paid_d = pool_payments(
+        engine.table,
+        aggregates.totals,
+        engine.slice_budget[None, :],
+        stake,
+        multiplier,
+        roles,
+        sel_action,
+        engine.cost_vec,
+        base=False,
+    )
+    is_leader = roles == LEADER
+    utilities = []
+    for target, paid, cost in (
+        (0, paid_c[0], engine.cost_vec[roles] * multiplier),
+        (1, paid_d[0], structure.costs.sortition * multiplier),
+    ):
+        # A switch to C adds the agent to its role's tally, one to D
+        # withdraws it (0 when the agent already plays the target).
+        delta = sel_action.astype(np.int64) - target
+        leaders_after = aggregates.leader_coop + np.where(is_leader, delta, 0)
+        tally_after = aggregates.committee_tally + np.where(is_leader, 0, delta) * stake
+        block_after = (
+            (leaders_after >= 1)
+            & (tally_after > structure.quorum_threshold)
+            & (aggregates.sync_defectors == 0)
+        )
+        utilities.append(np.where(block_after, paid, 0.0) - cost)
+    return _best_responses(sel_action == 0, *utilities)
 
 
 def _update_pass(
@@ -859,11 +848,7 @@ def _update_pass(
             accumulator.fold(utility_c, utility_d, include=crowd)
         else:
             assert crowd_behavior is not None
-            switched = np.where(
-                ctx.coop,
-                np.where(utility_d > utility_c + _BR_TOLERANCE, 1, 0),
-                np.where(utility_c > utility_d + _BR_TOLERANCE, 0, 1),
-            ).astype(np.int8)
+            switched = _best_responses(ctx.coop, utility_c, utility_d)
             if telemetry:
                 crowd_revisions += int(np.sum(crowd & (switched != ctx.action)))
             crowd_behavior[offset : offset + ctx.n] = np.where(

@@ -22,7 +22,10 @@ epsilon-incentive-compatible under population Y?* — by brute force, fast:
    effects have closed forms in the pool totals, so the payoff of *every*
    player's deviation to *every* alternative strategy is computed in a
    handful of ``(n_populations, n_players)`` numpy operations — no game
-   object, no per-player loop.
+   object, no per-player loop.  The pool algebra is
+   :func:`repro.schemes.pools.pool_payments`, the kernel the streamed
+   population audit and dynamics also run, broadcast over the
+   population axis in one call.
 3. **Certification.**  A cell is certified ``epsilon``-IC when no checked
    deviation gains more than ``epsilon``; otherwise the report carries the
    most profitable deviation as a concrete witness (population, player,
@@ -57,7 +60,6 @@ from repro.core.game import (
 from repro.core.optimizer import minimize_reward_analytic
 from repro.errors import AuditError, ConfigurationError
 from repro.schemes.base import (
-    ACTIONS,
     COMMITTEE,
     LEADER,
     ONLINE,
@@ -65,8 +67,8 @@ from repro.schemes.base import (
     TARGETS,
     RewardScheme,
     SchemeSplit,
-    WeightKind,
 )
+from repro.schemes.pools import PoolTables, pool_payments, pool_tables, pool_weights
 from repro.schemes.registry import SchemeLike, resolve_scheme
 from repro.sim.rng import derive_seed
 
@@ -452,19 +454,17 @@ def _build_cell(
 # -- the vectorized deviation-gain kernel -------------------------------------------
 
 
-def _pool_tables(
-    scheme: RewardScheme, cell: _Cell
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand a scheme's pools over one cell's populations.
+def _pool_tables(scheme: RewardScheme, cell: _Cell) -> Tuple[np.ndarray, PoolTables]:
+    """A scheme's pools over one cell's populations.
 
-    Returns ``(fractions, lookup, weights)``: per-population pool
-    fractions ``(B, P)`` (splits differ across populations), a membership
-    lookup table ``(P, 3 roles, 2 actions)``, and within-pool weights
-    ``(P, B, N)``.  The pool *structure* (names, members, weight kinds)
-    must not depend on the split — only the fractions may.
+    Returns ``(fractions, tables)``: per-population pool fractions
+    ``(B, P)`` (splits differ across populations) and the pool structure
+    at population 0's split.  The pool *structure* (names, members,
+    weight kinds) must not depend on the split — only the fractions may.
     """
-    B, N = cell.stakes.shape
-    reference = scheme.pools(SchemeSplit(cell.alphas[0], cell.betas[0]))
+    B = cell.stakes.shape[0]
+    reference_split = SchemeSplit(cell.alphas[0], cell.betas[0])
+    reference = scheme.pools(reference_split)
     P = len(reference)
     fractions = np.empty((B, P))
     for b in range(B):
@@ -481,26 +481,7 @@ def _pool_tables(
                 "only pool fractions may depend on (alpha, beta)"
             )
         fractions[b] = [pool.fraction for pool in pools]
-
-    lookup = np.zeros((P, 3, 2), dtype=bool)
-    for p, pool in enumerate(reference):
-        for role, action in pool.members:
-            lookup[p, ROLES.index(role), ACTIONS.index(action)] = True
-
-    cost_vec = np.array(
-        [cell.costs.leader, cell.costs.committee, cell.costs.online]
-    )
-    weights = np.empty((P, B, N))
-    for p, pool in enumerate(reference):
-        if pool.weight is WeightKind.STAKE:
-            weights[p] = cell.stakes
-        elif pool.weight is WeightKind.EQUAL:
-            weights[p] = 1.0
-        elif pool.weight is WeightKind.STAKE_POWER:
-            weights[p] = cell.stakes**pool.exponent
-        else:  # COST — the cooperation cost of the member's role
-            weights[p] = cost_vec[cell.roles]
-    return fractions, lookup, weights
+    return fractions, pool_tables(scheme, reference_split)
 
 
 def _vectorized_gains(scheme: RewardScheme, cell: _Cell) -> np.ndarray:
@@ -508,56 +489,31 @@ def _vectorized_gains(scheme: RewardScheme, cell: _Cell) -> np.ndarray:
 
     Entry ``[t, b, j]`` is the payoff gain of player ``j`` in population
     ``b`` unilaterally switching to ``TARGETS[t]``; ``nan`` marks the
-    player's current strategy (not a deviation).
+    player's current strategy (not a deviation).  One
+    :func:`~repro.schemes.pools.pool_payments` call covers every
+    population: the ``(B, N)`` columns carry their own pool totals and
+    a single budget row of per-population slice budgets.
     """
     B, N = cell.stakes.shape
-    fractions, lookup, weights = _pool_tables(scheme, cell)
-    P = fractions.shape[1]
-
-    action = (~cell.coop).astype(np.int8)  # 0 = C, 1 = D
-    slice_budget = fractions * cell.b_i[:, None]  # (B, P)
-
-    member = np.empty((P, B, N), dtype=bool)
-    for p in range(P):
-        member[p] = lookup[p, cell.roles, action]
-    contribution = weights * member  # (P, B, N)
-    totals = contribution.sum(axis=2)  # (P, B)
-
-    def pool_payments(member_new: np.ndarray) -> np.ndarray:
-        """Per-player rewards if each player *alone* played the new action.
-
-        ``member_new[p]`` is the membership mask the deviator would have;
-        the pool total is adjusted by that single player's move only
-        (everyone else stays put — a unilateral deviation).
-        """
-        rewards = np.zeros((B, N))
-        for p in range(P):
-            new_contribution = weights[p] * member_new[p]
-            new_totals = totals[p][:, None] - contribution[p] + new_contribution
-            payable = (new_contribution > 0) & (new_totals > 0)
-            pool_reward = np.zeros((B, N))
-            np.divide(
-                slice_budget[:, p][:, None] * new_contribution,
-                new_totals,
-                out=pool_reward,
-                where=payable,
-            )
-            rewards += pool_reward
-        return rewards
-
-    # Base rewards: "deviating" to the current action changes nothing.
-    base_rewards = np.zeros((B, N))
-    for p in range(P):
-        rate = np.zeros(B)
-        np.divide(slice_budget[:, p], totals[p], out=rate, where=totals[p] > 0)
-        base_rewards += rate[:, None] * contribution[p]
-
+    fractions, tables = _pool_tables(scheme, cell)
     cost_vec = np.array(
         [cell.costs.leader, cell.costs.committee, cell.costs.online]
     )
+    action = (~cell.coop).astype(np.int8)  # 0 = C, 1 = D
+    # The batch has no per-agent cost multiplier (COST weights are the
+    # role costs), hence the scalar 1.0 column.
+    columns = (cell.stakes, 1.0, cell.roles, action, cost_vec)
+    weights = pool_weights(tables, cell.stakes, 1.0, cell.roles, cost_vec)
+    contribution = weights * tables.lookup[:, cell.roles, action]  # (P, B, N)
+    totals = contribution.sum(axis=2, keepdims=True)  # (P, B, 1)
+    slice_budget = (fractions * cell.b_i[:, None]).T[None, :, :, None]
+    base_rewards, rewards_c, rewards_d = pool_payments(
+        tables, totals, slice_budget, *columns
+    )
+
     coop_cost = cost_vec[cell.roles]  # (B, N)
     current_cost = np.where(cell.coop, coop_cost, cell.costs.sortition)
-    base_utility = base_rewards - current_cost
+    base_utility = base_rewards[0] - current_cost
 
     # Does a cooperator's withdrawal (to D or O) break the block?
     coop_leaders = ((cell.roles == LEADER) & cell.coop).sum(axis=1)  # (B,)
@@ -576,20 +532,12 @@ def _vectorized_gains(scheme: RewardScheme, cell: _Cell) -> np.ndarray:
 
     gains = np.full((3, B, N), np.nan)
 
-    member_c = np.empty((P, B, N), dtype=bool)
-    member_d = np.empty((P, B, N), dtype=bool)
-    for p in range(P):
-        member_c[p] = lookup[p, cell.roles, 0]
-        member_d[p] = lookup[p, cell.roles, 1]
-
     # To C (only defectors deviate; their joining never breaks the block).
-    rewards_c = pool_payments(member_c)
-    utility_c = rewards_c - coop_cost
+    utility_c = rewards_c[0] - coop_cost
     gains[0] = np.where(~cell.coop, utility_c - base_utility, np.nan)
 
     # To D (only cooperators deviate; may break the block).
-    rewards_d = np.where(breaks, 0.0, pool_payments(member_d))
-    utility_d = rewards_d - cell.costs.sortition
+    utility_d = np.where(breaks, 0.0, rewards_d[0]) - cell.costs.sortition
     gains[1] = np.where(cell.coop, utility_d - base_utility, np.nan)
 
     # To O (anyone; an offline player forfeits all rewards).

@@ -36,9 +36,11 @@ same two streamed passes: selection, synchrony draws and the top-k merge
 run once and are broadcast across every grid cell, pool totals and
 calibration are shared per cost scale, and the gain pass realizes each
 chunk once per cost scale before folding every cell's gains.  Budget
-cells share weights, membership and new totals: :func:`_pool_payments`
-computes them once per (scheme, cost scale, chunk) and repeats only the
-per-budget arithmetic, in the single-budget op order.  The affine form
+cells share weights, membership and new totals:
+:func:`repro.schemes.pools.pool_payments` — the one pool-payment kernel,
+shared with the batch audit and the streamed dynamics — computes them
+once per (scheme, cost scale, chunk) and repeats only the per-budget
+arithmetic, in the single-budget op order.  The affine form
 ``b * rewards(1)`` is not used: it reassociates that arithmetic, and as
 many agents tie exactly at the maximum gain under foundation, the moved
 low bits move verdict witnesses.  Each cell of the tensor is
@@ -70,7 +72,6 @@ from repro.populations.arrays import (
 from repro.populations.spec import PopulationSpec
 from repro.schemes.audit import DeviationWitness
 from repro.schemes.base import (
-    ACTIONS,
     COMMITTEE,
     LEADER,
     ONLINE,
@@ -80,6 +81,7 @@ from repro.schemes.base import (
     SchemeSplit,
     WeightKind,
 )
+from repro.schemes.pools import PoolTables, pool_payments, pool_tables, pool_weights
 from repro.schemes.registry import SchemeLike, resolve_scheme
 from repro.telemetry.metrics import DEFAULT_TIME_BUCKETS
 from repro.telemetry.runtime import get_registry
@@ -243,16 +245,6 @@ class PopulationAuditReport:
 
 
 @dataclass
-class _PoolTables:
-    """A scheme's pool structure expanded for the streaming kernel."""
-
-    fractions: np.ndarray  # (P,)
-    lookup: np.ndarray  # (P, 3 roles, 2 actions) membership
-    kinds: List[WeightKind]
-    exponents: np.ndarray  # (P,)
-
-
-@dataclass
 class _Structure:
     """Everything pass 2 needs: selection, calibration, global totals."""
 
@@ -267,7 +259,7 @@ class _Structure:
     total_stake: float
     total_stake_units: int  # exact integer sum of floored stakes
     pool_totals: Dict[str, np.ndarray]  # scheme name -> (P,)
-    tables: Dict[str, _PoolTables]
+    tables: Dict[str, PoolTables]
     committee_stake_total: float
     quorum_threshold: float
     #: Strong-synchrony agents in the online crowd (the selected agents'
@@ -285,98 +277,6 @@ class _Structure:
     def base_block_fails(self) -> bool:
         """Whether the target profile itself fails to produce a block."""
         return self.sync_defectors > 0
-
-
-def _pool_tables(scheme: RewardScheme, split: SchemeSplit) -> _PoolTables:
-    """Expand one scheme's pools at the calibrated split."""
-    pools = scheme.pools(split)
-    P = len(pools)
-    lookup = np.zeros((P, 3, 2), dtype=bool)
-    for p, pool in enumerate(pools):
-        for role, action in pool.members:
-            lookup[p, ROLES.index(role), ACTIONS.index(action)] = True
-    return _PoolTables(
-        fractions=np.array([pool.fraction for pool in pools], dtype=np.float64),
-        lookup=lookup,
-        kinds=[pool.weight for pool in pools],
-        exponents=np.array([pool.exponent for pool in pools], dtype=np.float64),
-    )
-
-
-def _pool_weight(
-    tables: _PoolTables,
-    p: int,
-    stake: np.ndarray,
-    cost_multiplier: np.ndarray,
-    roles: np.ndarray,
-    cost_vec: np.ndarray,
-) -> np.ndarray:
-    """Pool ``p``'s within-pool weights ``(n,)`` (float64; may alias ``stake``)."""
-    kind = tables.kinds[p]
-    if kind is WeightKind.STAKE:
-        return stake
-    if kind is WeightKind.EQUAL:
-        return np.ones(stake.size)
-    if kind is WeightKind.STAKE_POWER:
-        return stake ** tables.exponents[p]
-    # COST — the cooperation cost of the member's role.
-    return cost_vec[roles] * cost_multiplier
-
-
-def _pool_weights(
-    tables: _PoolTables,
-    stake: np.ndarray,
-    cost_multiplier: np.ndarray,
-    roles: np.ndarray,
-    cost_vec: np.ndarray,
-) -> np.ndarray:
-    """Within-pool weights ``(P, n)`` for one chunk (float64)."""
-    per_agent = (stake, cost_multiplier, roles, cost_vec)
-    weights = [_pool_weight(tables, p, *per_agent) for p in range(len(tables.kinds))]
-    return np.stack(weights)
-
-
-def _pool_payments(
-    tables: _PoolTables,
-    totals: np.ndarray,
-    slice_budget: np.ndarray,
-    ctx: "_ChunkContext",
-    base: bool = True,
-) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
-    """Per-agent rewards ``(B, n)`` for the ``(B, P)`` pool budgets.
-
-    Returns ``(base, if_c, if_d)``: rewards at the realized profile
-    (``None`` unless ``base``) and if each agent *alone* switched to C,
-    resp. D, against the pool ``totals``.  A pool's weights, membership,
-    contributions, new totals and payable mask are computed once; each
-    budget row then repeats the single-budget arithmetic (scale, guarded
-    divide, accumulate in pool order), so row ``k`` is bit-identical to
-    a ``B = 1`` call at ``slice_budget[k]``.
-    """
-    B, n = slice_budget.shape[0], ctx.n
-    base_rewards = np.zeros((B, n)) if base else None
-    rewards = (np.zeros((B, n)), np.zeros((B, n)))
-    pool_reward = np.empty(n)
-    for p in range(len(tables.kinds)):
-        weights = _pool_weight(
-            tables, p, ctx.stake, ctx.cost_multiplier, ctx.roles, ctx.cost_vec
-        )
-        lookup = tables.lookup[p]
-        contribution = weights * lookup[ctx.roles, ctx.action]
-        if base_rewards is not None:
-            for k in range(B):
-                rate = slice_budget[k, p] / totals[p] if totals[p] > 0 else 0.0
-                base_rewards[k] += rate * contribution
-        for action, accumulated in enumerate(rewards):
-            new_contribution = weights * lookup[ctx.roles, action]
-            new_totals = totals[p] - contribution + new_contribution
-            payable = (new_contribution > 0) & (new_totals > 0)
-            pool_reward.fill(0.0)  # unpayable entries are never written
-            for k in range(B):
-                scaled = slice_budget[k, p] * new_contribution
-                np.divide(scaled, new_totals, out=pool_reward, where=payable)
-                accumulated[k] += pool_reward
-    return base_rewards, rewards[0], rewards[1]
 
 
 def _online_actions(
@@ -516,7 +416,7 @@ def _build_structure_grid(
     # fractions at the calibrated split below.
     placeholder = SchemeSplit(1.0 / 3.0, 1.0 / 3.0)
     reference_tables = {
-        scheme.name: _pool_tables(scheme, placeholder) for scheme in schemes
+        scheme.name: pool_tables(scheme, placeholder) for scheme in schemes
     }
     cost_scaled = {
         name: any(kind is WeightKind.COST for kind in table.kinds)
@@ -598,7 +498,7 @@ def _build_structure_grid(
             # Cost-independent schemes total once (first scale's slot).
             scales = cost_scales if cost_scaled[scheme.name] else cost_scales[:1]
             for cs in scales:
-                weights = _pool_weights(
+                weights = pool_weights(
                     table, stake, cost_multiplier, roles_online, cost_vec_by[cs]
                 )
                 raw_totals[(scheme.name, cs)] = blockwise_row_sums(
@@ -702,9 +602,9 @@ def _build_structure_grid(
         # Swap in each scheme's fractions at the calibrated split,
         # verifying the structure did not change shape underneath us.
         pool_totals: Dict[str, np.ndarray] = {}
-        tables: Dict[str, _PoolTables] = {}
+        tables: Dict[str, PoolTables] = {}
         for scheme in schemes:
-            calibrated = _pool_tables(scheme, split)
+            calibrated = pool_tables(scheme, split)
             reference = reference_tables[scheme.name]
             if (
                 len(calibrated.kinds) != len(reference.kinds)
@@ -788,6 +688,11 @@ class _ChunkContext:
     coop_cost: np.ndarray  # per-agent cooperation cost of the held role
     sortition_cost: np.ndarray  # per-agent cost of playing D or O
     cost_vec: np.ndarray  # (3,) role cooperation costs
+
+    @property
+    def pool_columns(self) -> Tuple[np.ndarray, ...]:
+        """The columns :func:`~repro.schemes.pools.pool_payments` reads."""
+        return self.stake, self.cost_multiplier, self.roles, self.action, self.cost_vec
 
 
 def _selected_rows(
@@ -874,7 +779,8 @@ def _chunk_gains(
     """Deviation gains ``(n, 3)`` for one chunk, yielded per budget cell.
 
     ``structures`` are the budget cells of one cost scale (they differ
-    only in ``b_i``) and share one :func:`_pool_payments` pass.
+    only in ``b_i``) and share one
+    :func:`~repro.schemes.pools.pool_payments` pass.
 
     Row ``j`` holds agent ``ctx.offset + j``'s payoff gain for a
     unilateral switch to C, D and O (``nan`` marks the agent's current
@@ -902,11 +808,13 @@ def _chunk_gains(
         sole = structure.sole_sync_defector
         if sole is not None and ctx.offset <= sole < ctx.offset + n:
             local = sole - ctx.offset
-            _, paid_c, _ = _pool_payments(table, totals, slice_budget, ctx, base=False)
+            _, paid_c, _ = pool_payments(
+                table, totals, slice_budget, *ctx.pool_columns, base=False
+            )
             rewards_c[:, local] = paid_c[:, local]
     else:
-        base_rewards, rewards_c, rewards_d = _pool_payments(
-            table, totals, slice_budget, ctx
+        base_rewards, rewards_c, rewards_d = pool_payments(
+            table, totals, slice_budget, *ctx.pool_columns
         )
         # Withdrawal block-breaks: a sole cooperating leader, a committee
         # member whose exit drops the tally below quorum, or any

@@ -1,9 +1,12 @@
-"""Property tests for the budget-factored deviation-gain kernel and reducer.
+"""Property tests for the pool-payment kernel and the gain reducer.
 
-* :func:`_pool_payments` computes the budget-independent pool algebra
+* :func:`pool_payments` computes the budget-independent pool algebra
   once and then folds every budget row; row ``k`` must equal a
   single-budget call at ``slice_budget[k]`` — and the per-budget
   reference formula below — bit for bit, signed zeros included.
+* The kernel broadcasts over a leading population axis: one call on
+  stacked ``(B_pop, n)`` columns, with per-row totals and slice budgets,
+  must equal the per-row calls bit for bit.
 * :class:`_GainReducer` folds gain chunks with copy-free reductions; it
   must return exactly what the ``np.nanmax`` / ``np.nanargmax``
   reference fold returns: max gain, max shirk gain, deviation count and
@@ -19,15 +22,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.schemes.base import TARGETS
-from repro.schemes.base import WeightKind
-from repro.schemes.population_audit import (
-    _ChunkContext,
-    _GainReducer,
-    _pool_payments,
-    _pool_weights,
-    _PoolTables,
-)
+from repro.schemes.base import TARGETS, WeightKind
+from repro.schemes.pools import PoolTables, pool_payments, pool_weights
+from repro.schemes.population_audit import _GainReducer
 
 _KINDS = list(WeightKind)
 
@@ -36,60 +33,66 @@ def _bits(array: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(array).view(np.int64)
 
 
-def _random_case(seed: int, n_budgets: int):
-    """Pool tables, context and totals with zero weights and dead pools."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 60))
+_COST_VEC = np.array([3.0, 2.0, 0.5])
+
+
+def _random_tables(rng: np.random.Generator) -> PoolTables:
     P = int(rng.integers(1, 5))
-    tables = _PoolTables(
+    return PoolTables(
         fractions=rng.random(P),
         lookup=rng.random((P, 3, 2)) < 0.5,
         kinds=[_KINDS[i] for i in rng.integers(0, len(_KINDS), P)],
         exponents=rng.choice([0.0, 0.5, 1.0, 2.0], P),
     )
-    stake = rng.choice([0.0, 1.0, 2.5, 40.0], n) * rng.random(n).round(1)
-    cost_multiplier = rng.choice([0.0, 1.0, 1.5], n)
-    action = (rng.random(n) < 0.5).astype(np.int8)
-    ctx = _ChunkContext(
-        offset=0,
-        n=n,
-        stake=stake,
-        cost_multiplier=cost_multiplier,
-        roles=rng.integers(0, 3, n).astype(np.int8),
-        sync=rng.random(n) < 0.5,
-        coop=action == 0,
-        action=action,
-        coop_cost=rng.random(n),
-        sortition_cost=rng.random(n),
-        cost_vec=np.array([3.0, 2.0, 0.5]),
+
+
+def _random_row(rng: np.random.Generator, tables: PoolTables, n: int, n_budgets: int):
+    """One population's columns, totals and slice budgets.
+
+    Zero weights and dead pools included: totals mix live pools, empty
+    ones (0) and broken ones (< 0), so the payable mask and the base
+    rate's zero branch both get exercised.
+    """
+    P = len(tables.kinds)
+    columns = (
+        rng.choice([0.0, 1.0, 2.5, 40.0], n) * rng.random(n).round(1),  # stake
+        rng.choice([0.0, 1.0, 1.5], n),  # cost multiplier
+        rng.integers(0, 3, n).astype(np.int8),  # roles
+        (rng.random(n) < 0.5).astype(np.int8),  # action
     )
-    # Totals: live pools, empty pools (0) and broken ones (< 0), so the
-    # payable mask and the base rate's zero branch both get exercised.
     totals = rng.choice([0.0, -1.0, 5.0, 80.0], P) + rng.random(P).round(2)
     totals[rng.random(P) < 0.3] = 0.0
     budgets = rng.choice([0.5, 1.0, 1.5, 2.0, 3.7], n_budgets)
-    slice_budget = budgets[:, None] * tables.fractions
-    return tables, ctx, totals, slice_budget
+    return columns, totals, budgets[:, None] * tables.fractions
 
 
-def _reference_payments(tables, ctx, totals, slice_budget_row):
-    """The per-budget formula: (P, n) weights, one budget at a time."""
-    P = len(tables.kinds)
-    n = ctx.n
-    weights = _pool_weights(
-        tables, ctx.stake, ctx.cost_multiplier, ctx.roles, ctx.cost_vec
+def _random_case(seed: int, n_budgets: int):
+    """Pool tables, one population's columns, totals and slice budgets."""
+    rng = np.random.default_rng(seed)
+    tables = _random_tables(rng)
+    columns, totals, slice_budget = _random_row(
+        rng, tables, int(rng.integers(1, 60)), n_budgets
     )
-    member = np.stack([tables.lookup[p, ctx.roles, ctx.action] for p in range(P)])
+    return tables, columns + (_COST_VEC,), totals, slice_budget
+
+
+def _reference_payments(tables, columns, totals, slice_budget_row):
+    """The per-budget formula: (P, n) weights, one budget at a time."""
+    stake, cost_multiplier, roles, action, cost_vec = columns
+    P = len(tables.kinds)
+    n = stake.size
+    weights = pool_weights(tables, stake, cost_multiplier, roles, cost_vec)
+    member = np.stack([tables.lookup[p, roles, action] for p in range(P)])
     contribution = weights * member
     base = np.zeros(n)
     for p in range(P):
         rate = slice_budget_row[p] / totals[p] if totals[p] > 0 else 0.0
         base += rate * contribution[p]
     paid = []
-    for action in (0, 1):
+    for target in (0, 1):
         rewards = np.zeros(n)
         for p in range(P):
-            new_contribution = weights[p] * tables.lookup[p, ctx.roles, action]
+            new_contribution = weights[p] * tables.lookup[p, roles, target]
             new_totals = totals[p] - contribution[p] + new_contribution
             payable = (new_contribution > 0) & (new_totals > 0)
             pool_reward = np.zeros(n)
@@ -107,24 +110,49 @@ def _reference_payments(tables, ctx, totals, slice_budget_row):
 @given(seed=st.integers(min_value=0, max_value=2**31), n_budgets=st.integers(1, 4))
 @settings(max_examples=80)
 def test_budget_rows_equal_single_budget_calls_bitwise(seed, n_budgets):
-    tables, ctx, totals, slice_budget = _random_case(seed, n_budgets)
-    fused = _pool_payments(tables, totals, slice_budget, ctx)
-    assert all(out.shape == (n_budgets, ctx.n) for out in fused)
+    tables, columns, totals, slice_budget = _random_case(seed, n_budgets)
+    n = columns[0].size
+    fused = pool_payments(tables, totals, slice_budget, *columns)
+    assert all(out.shape == (n_budgets, n) for out in fused)
     for k in range(n_budgets):
-        single = _pool_payments(tables, totals, slice_budget[k : k + 1], ctx)
-        reference = _reference_payments(
-            tables, ctx, totals, slice_budget[k]
-        )
+        single = pool_payments(tables, totals, slice_budget[k : k + 1], *columns)
+        reference = _reference_payments(tables, columns, totals, slice_budget[k])
         for got, one, ref in zip(fused, single, reference):
             assert np.array_equal(_bits(got[k]), _bits(one[0]))
             assert np.array_equal(_bits(got[k]), _bits(ref))
 
 
+@given(
+    seed=st.integers(min_value=0, max_value=2**31),
+    n_pop=st.integers(1, 5),
+    n_budgets=st.integers(1, 3),
+)
+@settings(max_examples=80)
+def test_population_axis_broadcast_equals_per_row_calls_bitwise(
+    seed, n_pop, n_budgets
+):
+    """Stacked ``(B_pop, n)`` columns, totals ``(P, B_pop, 1)`` and slice
+    budgets ``(B, P, B_pop, 1)``: one call equals the per-row calls."""
+    rng = np.random.default_rng(seed)
+    tables = _random_tables(rng)
+    n = int(rng.integers(1, 40))
+    rows = [_random_row(rng, tables, n, n_budgets) for _ in range(n_pop)]
+    stacked = tuple(np.stack([row[0][i] for row in rows]) for i in range(4))
+    totals = np.stack([row[1] for row in rows], axis=1)[:, :, None]
+    slice_budget = np.stack([row[2] for row in rows], axis=2)[:, :, :, None]
+    broadcast = pool_payments(tables, totals, slice_budget, *stacked, _COST_VEC)
+    assert all(out.shape == (n_budgets, n_pop, n) for out in broadcast)
+    for b, (columns, row_totals, row_budget) in enumerate(rows):
+        single = pool_payments(tables, row_totals, row_budget, *columns, _COST_VEC)
+        for got, one in zip(broadcast, single):
+            assert np.array_equal(_bits(got[:, b]), _bits(one))
+
+
 def test_base_rewards_can_be_skipped():
-    tables, ctx, totals, slice_budget = _random_case(3, 2)
-    with_base = _pool_payments(tables, totals, slice_budget, ctx)
-    base, paid_c, paid_d = _pool_payments(
-        tables, totals, slice_budget, ctx, base=False
+    tables, columns, totals, slice_budget = _random_case(3, 2)
+    with_base = pool_payments(tables, totals, slice_budget, *columns)
+    base, paid_c, paid_d = pool_payments(
+        tables, totals, slice_budget, *columns, base=False
     )
     assert base is None
     assert np.array_equal(_bits(paid_c), _bits(with_base[1]))

@@ -50,6 +50,34 @@ class TestByteIdentity:
         served_bytes = harness.result(job["id"])
         assert served_bytes == cli_bytes
 
+    def test_served_dynamics_equals_cli_dynamics(self, harness, tmp_path):
+        from repro.analysis.runner import run_experiment
+
+        run_experiment(
+            "dynamics",
+            scale="small",
+            out=tmp_path,
+            workers=1,
+            agents=8192,
+            epochs=2,
+            schemes=("role_based",),
+        )
+        cli_bytes = (tmp_path / "dynamics.json").read_bytes()
+
+        status, body = harness.submit(
+            "dynamics",
+            {
+                "name": "dynamics-small",
+                "agents": 8192,
+                "epochs": 2,
+                "schemes": ["role_based"],
+            },
+        )
+        assert status in (200, 202)
+        job = harness.poll(body["job"]["id"])
+        assert job["state"] == "done"
+        assert harness.result(job["id"]) == cli_bytes
+
     def test_repeat_submission_serves_identical_bytes(self, harness):
         first_status, first = harness.submit("audit", AUDIT_PARAMS)
         harness.poll(first["job"]["id"])
