@@ -90,7 +90,7 @@ def pool_weights(
 
 def pool_rates(slice_budget: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Payout per unit weight: ``slice_budget / totals``, 0 for empty pools."""
-    rates = np.zeros(np.broadcast_shapes(np.shape(slice_budget), np.shape(totals)))
+    rates = np.zeros(np.broadcast(slice_budget, totals).shape)
     return np.divide(slice_budget, totals, out=rates, where=totals > 0)
 
 
