@@ -152,7 +152,8 @@ def compute_payload() -> str:
                 "telemetry": _telemetry(registry.snapshot()),
             }
         )
-    return json.dumps({"n_rounds": N_ROUNDS, "runs": runs}, indent=1, sort_keys=True) + "\n"
+    payload = {"n_rounds": N_ROUNDS, "runs": runs}
+    return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 
 def main(argv=None) -> int:

@@ -19,11 +19,14 @@ This module implements the same round semantics as batched array work:
   budget exceeds the overlay diameter and the model is exact; under heavy
   defection the thinned relay graph disconnects and finality collapses —
   the same mechanism that drives the paper's Figure 3.
-* **Agreement (BA*)** reuses the event path's pure
-  :class:`~repro.sim.ba_star.ConsensusStateMachine` per node (cheap: tens
-  of transitions per round) while the heavy CountVotes tallies are numpy
-  reductions feeding the shared
-  :func:`~repro.sim.ba_star.resolve_quorum` threshold rule.
+* **Agreement (BA*)** steps every online node at once:
+  :class:`ConsensusArrays` holds the event path's
+  :class:`~repro.sim.ba_star.ConsensusStateMachine` state as per-node
+  arrays and applies each transition as a masked update (every active
+  node receives a result at every step, so all share one binary step,
+  one step kind and one coin).  Each step's CountVotes, for every node
+  at once, is one reach-matrix product followed by the vectorized
+  :func:`~repro.sim.ba_star.resolve_quorum` rule.
 
 The kernel emits the same :class:`~repro.sim.metrics.RoundRecord` /
 :class:`~repro.sim.metrics.SimulationMetrics` schema as the DES and honours
@@ -47,9 +50,8 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,7 +59,10 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim import crypto
 from repro.sim.ba_star import (
     FINAL_STEP,
-    ConsensusStateMachine,
+    FIRST_BINARY_STEP,
+    Phase,
+    StepKind,
+    binary_step_kind,
     make_common_coin,
     resolve_quorum,
 )
@@ -266,6 +271,127 @@ class _Proposal:
     priority: float
 
 
+class _Ballots(NamedTuple):
+    """Votes cast for one step at one deadline, as parallel arrays.
+
+    ``values`` are candidate indices; the deadline index ``cast_index``
+    fixes the travel windows before the tally.
+    """
+
+    cast_index: int
+    senders: np.ndarray
+    weights: np.ndarray
+    values: np.ndarray
+
+
+#: :class:`ConsensusArrays` phase codes, indexing :data:`PHASES`.
+_REDUCTION_ONE, _REDUCTION_TWO, _BINARY, _DONE, _FAILED = range(5)
+
+#: The :class:`~repro.sim.ba_star.Phase` behind each phase code.
+PHASES = (
+    Phase.REDUCTION_ONE,
+    Phase.REDUCTION_TWO,
+    Phase.BINARY,
+    Phase.DONE,
+    Phase.FAILED,
+)
+
+
+@dataclass(frozen=True)
+class AgreementStep:
+    """What every node does after one step deadline (the array directive).
+
+    Node ``k`` votes ``current[k]`` in the next step where ``vote[k]``.
+    Where ``concluded[k]`` it reached its conclusion this step, and votes
+    ``concluded_value[k]`` in each of ``helper_steps`` and, where
+    ``final[k]``, in the FINAL committee.
+    """
+
+    vote: np.ndarray
+    concluded: np.ndarray
+    helper_steps: Tuple[int, ...]
+    final: np.ndarray
+
+
+class ConsensusArrays:
+    """Every node's BA* state machine for one round, held as arrays.
+
+    The array form of N :class:`~repro.sim.ba_star.ConsensusStateMachine`
+    instances.  Values are candidate indices (``0`` is the empty block);
+    a tally result of ``-1`` is a timeout.  In the fast kernel every
+    active node receives a result at every step, so all active nodes
+    share one phase and one binary step: the step kind and the coin are
+    scalars, and each transition is a masked update of the per-node
+    ``phase`` codes (see :data:`PHASES`), ``current`` value,
+    ``binary_input`` and conclusion (``concluded_value``, ``-1`` until
+    concluded, and ``concluded_step``, the binary step, ``0`` until then).
+    """
+
+    def __init__(
+        self,
+        start_values: np.ndarray,
+        max_binary_steps: int,
+        coin: Callable[[int], int],
+    ) -> None:
+        n = len(start_values)
+        self.max_binary_steps = max_binary_steps
+        self._coin = coin
+        self.phase = np.full(n, _REDUCTION_ONE, dtype=np.int8)
+        self.current = np.array(start_values, dtype=np.int64)
+        self.binary_input = np.zeros(n, dtype=np.int64)
+        self.concluded_value = np.full(n, -1, dtype=np.int64)
+        self.concluded_step = np.zeros(n, dtype=np.int64)
+
+    @property
+    def active(self) -> np.ndarray:
+        """Nodes still deciding (neither concluded nor failed)."""
+        return self.phase < _DONE
+
+    def advance(self, step: int, counted: np.ndarray) -> AgreementStep:
+        """Apply every active node's tally for ``step`` (``-1``: timeout)."""
+        active = self.active
+        none = np.zeros_like(active)
+        if step < FIRST_BINARY_STEP:
+            # Reduction: vote what crossed the threshold, else empty; the
+            # second step's output is also BinaryBA*'s input.
+            output = np.where(counted < 0, 0, counted)
+            self.current = np.where(active, output, self.current)
+            if step == 2:
+                self.binary_input = np.where(active, output, self.binary_input)
+            self.phase[active] = _REDUCTION_TWO if step == 1 else _BINARY
+            return AgreementStep(active, none, (), none)
+
+        binary_step = step - FIRST_BINARY_STEP + 1
+        kind = binary_step_kind(binary_step)
+        timeout = counted < 0
+        if kind is StepKind.BLOCK_BIASED:  # a block result concludes
+            conclude = active & (counted > 0)
+            moved = np.where(timeout, self.binary_input, 0)
+        elif kind is StepKind.EMPTY_BIASED:  # an empty result concludes
+            conclude = active & (counted == 0)
+            moved = np.where(timeout, 0, counted)
+        else:  # common coin: timeouts follow the shared flip
+            conclude = none
+            flip = self._coin(binary_step) if (active & timeout).any() else 0
+            moved = np.where(timeout, self.binary_input if flip == 0 else 0, counted)
+        going = active & ~conclude
+        self.current = np.where(going, moved, self.current)
+        self.phase[conclude] = _DONE
+        self.concluded_value[conclude] = counted[conclude]
+        self.concluded_step[conclude] = binary_step
+        helper_steps = tuple(
+            step + offset
+            for offset in (1, 2, 3)
+            if binary_step + offset <= self.max_binary_steps
+        )
+        # Only a block concluded in the first binary step earns a final vote.
+        final = conclude if binary_step == 1 else none
+        if binary_step + 1 > self.max_binary_steps:
+            self.phase[going] = _FAILED
+            going = none
+        return AgreementStep(going, conclude, helper_steps, final)
+
+
 class FastSimulation:
     """Vectorized drop-in for :class:`~repro.sim.protocol.AlgorandSimulation`.
 
@@ -314,11 +440,6 @@ class FastSimulation:
             hashlib.sha256(b"'vrf'\x1f%d" % private)
             for private in self._private_keys
         ]
-        # Behaviour predicates as plain lists: the voting loop consults
-        # them once per (node, step) and enum-property dispatch is
-        # measurable at that rate.
-        self._votes_list = [b.votes for b in self.behaviors]
-        self._equivocates_list = [b.equivocates for b in self.behaviors]
         self.rewards_received: List[float] = [0.0] * n
         self._neighbors = build_random_overlay(
             list(range(n)), config.gossip_fanout, self.streams.get("topology")
@@ -327,7 +448,11 @@ class FastSimulation:
         self._online = np.array([b.is_online for b in self.behaviors], dtype=bool)
         self._relays = np.array([b.relays for b in self.behaviors], dtype=bool)
         self._votes_mask = np.array([b.votes for b in self.behaviors], dtype=bool)
-        self._online_ids = [i for i in range(n) if self.behaviors[i].is_online]
+        self._equivocates_mask = np.array(
+            [b.equivocates for b in self.behaviors], dtype=bool
+        )
+        self._online_idx = np.flatnonzero(self._online)
+        self._online_ids = self._online_idx.tolist()
 
         self.authoritative = Ledger(genesis_seed=0)
         genesis_hash = self.authoritative.tip().block_hash()
@@ -387,7 +512,15 @@ class FastSimulation:
         self._m_committee = {
             role: _committee.labels(role=role.name.lower()) for role in Role
         }
+        self._m_agreement_seconds = _registry.histogram(
+            "repro_fastpath_agreement_seconds",
+            "Wall time of one round's BA* agreement, net of its VRF batches",
+            buckets=DEFAULT_TIME_BUCKETS,
+        ).labels()
         self._n_keys = float(n)
+        # Running VRF batch wall time (telemetry only): the agreement
+        # histogram subtracts the batches its phase triggered.
+        self._vrf_seconds = 0.0
 
     # -- public accessors ----------------------------------------------------
 
@@ -467,91 +600,90 @@ class FastSimulation:
         value_index = {value: k for k, value in enumerate(candidates)}
 
         budget_prop = self.latency.hop_budget(config.proposal_wait, config)
-        best_hash = self._best_proposals(proposals, hops, budget_prop)
+        best = self._best_proposals(proposals, value_index, hops, budget_prop)
 
         # -- phase B: reduction + BinaryBA* ----------------------------------
-        coin = make_common_coin(round_seed, round_index)
-        machines: Dict[int, ConsensusStateMachine] = {}
+        agreement_started = time.perf_counter() if self._telemetry else 0.0
+        vrf_before = self._vrf_seconds
+        online = self._online_idx
         proposed = {p.sender for p in proposals}
-        voted_any = set()
-        # votes[s]: list of (sender, weight, value, cast_deadline_index);
-        # step-s votes are tallied at deadline index s, normal votes are
-        # cast at index s-1 (one window of travel), helper votes earlier.
-        votes: Dict[int, List[Tuple[int, int, int, int]]] = {}
-        final_votes: List[Tuple[int, int, int, int]] = []
+        ranked = [
+            value_index[p.block_hash]
+            for p in sorted(proposals, key=lambda p: (p.priority, p.block_hash))
+        ]
+        voted = np.zeros(n, dtype=bool)
+        # votes[s]: the ballots tallied at deadline index s; normal votes
+        # are cast at index s-1 (one window of travel), helper votes earlier.
+        votes: Dict[int, List[_Ballots]] = {}
+        final_votes: List[_Ballots] = []
 
-        first_weights = step_weights(1)
-        for i in self._online_ids:
-            machine = ConsensusStateMachine(config.max_binary_steps, coin)
-            machines[i] = machine
-            step, value = machine.start(best_hash[i])
-            self._cast(
-                i, step, value, 0, first_weights, votes, voted_any, proposals
-            )
+        def cast(box, nodes, values, cast_index, weights) -> None:
+            ballots = self._cast(nodes, values, cast_index, weights, ranked, voted)
+            if ballots is not None:
+                box.append(ballots)
+
+        coin = make_common_coin(round_seed, round_index)
+        state = ConsensusArrays(best[online], config.max_binary_steps, coin)
+        cast(votes.setdefault(1, []), online, state.current, 0, step_weights(1))
 
         needed_step = config.t_step * config.tau_step
         total_steps = config.total_step_count()
         steps_used = 0
         for step in range(1, total_steps + 1):
             counted = self._tally(
-                votes.get(step, ()),
-                step,
-                hops,
-                candidates,
-                value_index,
-                needed_step,
+                votes.pop(step, ()), step, hops, len(candidates), needed_step
             )
-            for i in self._online_ids:
-                machine = machines[i]
-                if machine.concluded or machine.failed:
-                    continue
-                directive = machine.on_step_result(step, counted[i])
-                if directive.vote is not None:
-                    vstep, vvalue = directive.vote
-                    self._cast(
-                        i,
-                        vstep,
-                        vvalue,
+            directive = state.advance(step, counted[online])
+            if directive.vote.any():
+                cast(
+                    votes.setdefault(step + 1, []),
+                    online[directive.vote],
+                    state.current[directive.vote],
+                    step,
+                    step_weights(step + 1),
+                )
+            if directive.concluded.any():
+                nodes = online[directive.concluded]
+                values = state.concluded_value[directive.concluded]
+                # Per node: helpers in step order, then the final vote —
+                # the order an equivocator draws its values in.
+                for helper_step in directive.helper_steps:
+                    cast(
+                        votes.setdefault(helper_step, []),
+                        nodes,
+                        values,
                         step,
-                        step_weights(vstep),
-                        votes,
-                        voted_any,
-                        proposals,
+                        step_weights(helper_step),
                     )
-                for vstep, vvalue in directive.helper_votes:
-                    self._cast(
-                        i,
-                        vstep,
-                        vvalue,
+                # FINAL weights are computed only when a voter needs them.
+                finals = directive.final & self._votes_mask[online]
+                if finals.any():
+                    cast(
+                        final_votes,
+                        online[finals],
+                        state.concluded_value[finals],
                         step,
-                        step_weights(vstep),
-                        votes,
-                        voted_any,
-                        proposals,
+                        final_weights(),
                     )
-                if directive.final_vote is not None and self._votes_list[i]:
-                    weight = int(final_weights()[i])
-                    if weight > 0:
-                        value = directive.final_vote
-                        if self._equivocates_list[i]:
-                            value = self._equivocated(i, value, proposals)
-                        final_votes.append((i, weight, value, step))
-                        voted_any.add(i)
             steps_used = step
-            if config.short_circuit_rounds and all(
-                m.concluded or m.failed for m in machines.values()
-            ):
+            if config.short_circuit_rounds and not state.active.any():
                 break
+        if self._telemetry:
+            self._m_agreement_seconds.observe(
+                time.perf_counter()
+                - agreement_started
+                - (self._vrf_seconds - vrf_before)
+            )
 
         # -- phase C: extraction and rewards ---------------------------------
         record = self._finalize_round(
             ctx,
             steps_used,
-            machines,
+            state.concluded_value,
+            candidates,
             registry,
-            proposals,
             proposed,
-            voted_any,
+            voted,
             final_votes,
             hops,
         )
@@ -626,8 +758,10 @@ class FastSimulation:
         words = np.frombuffer(block, dtype=">u8").reshape(-1, 4)[:, 0]
         values = (words.astype(np.uint64) >> np.uint64(11)) / float(2**53)
         if self._telemetry:
+            elapsed = time.perf_counter() - batch_started
+            self._vrf_seconds += elapsed
             self._m_vrf_keys.inc(self._n_keys)
-            self._m_vrf_seconds.observe(time.perf_counter() - batch_started)
+            self._m_vrf_seconds.observe(elapsed)
         return values
 
     # -- proposals ------------------------------------------------------------
@@ -709,98 +843,100 @@ class FastSimulation:
         )
 
     def _best_proposals(
-        self, proposals: List[_Proposal], hops: np.ndarray, budget: int
-    ) -> List[Optional[int]]:
-        """Per node: hash of the best proposal that arrives in the window.
+        self,
+        proposals: List[_Proposal],
+        value_index: Dict[int, int],
+        hops: np.ndarray,
+        budget: int,
+    ) -> np.ndarray:
+        """Per node: candidate index of the best proposal that arrives in time.
 
         Iterates proposals worst-first so the best reachable proposal ends
         up owning each node's slot — the array form of the DES's
-        ``min(proposals, key=(priority, block_hash))``.
+        ``min(proposals, key=(priority, block_hash))``.  A node that saw
+        none holds ``0``, the empty option it then votes for.
         """
-        n = self.config.n_nodes
-        best: List[Optional[int]] = [None] * n
+        best = np.zeros(self.config.n_nodes, dtype=np.int64)
         ranked = sorted(
             proposals, key=lambda p: (p.priority, p.block_hash), reverse=True
         )
         for proposal in ranked:
-            reach = np.flatnonzero(hops[proposal.sender] <= budget)
-            for j in reach:
-                best[int(j)] = proposal.block_hash
+            best[hops[proposal.sender] <= budget] = value_index[proposal.block_hash]
         return best
 
     # -- voting ----------------------------------------------------------------
 
     def _cast(
         self,
-        node_id: int,
-        step: int,
-        value: int,
+        nodes: np.ndarray,
+        values: np.ndarray,
         cast_index: int,
         weights: np.ndarray,
-        votes: Dict[int, List[Tuple[int, int, int, int]]],
-        voted_any: set,
-        proposals: List[_Proposal],
-    ) -> None:
-        """Record one committee vote if the node votes and was selected."""
-        if not self._votes_list[node_id]:
-            return
-        weight = int(weights[node_id])
-        if weight <= 0:
-            return
-        if self._equivocates_list[node_id]:
-            value = self._equivocated(node_id, value, proposals)
-        votes.setdefault(step, []).append((node_id, weight, value, cast_index))
-        voted_any.add(node_id)
+        ranked: List[int],
+        voted: np.ndarray,
+    ) -> Optional[_Ballots]:
+        """The committee votes of ``nodes``: voters with sortition weight only."""
+        keep = self._votes_mask[nodes] & (weights[nodes] > 0)
+        if not keep.any():
+            return None
+        nodes = nodes[keep]
+        values = values[keep]
+        for k in np.flatnonzero(self._equivocates_mask[nodes]):
+            values[k] = self._equivocated(int(nodes[k]), int(values[k]), ranked)
+        voted[nodes] = True
+        return _Ballots(cast_index, nodes, weights[nodes], values)
 
-    def _equivocated(
-        self, node_id: int, honest_value: int, proposals: List[_Proposal]
-    ) -> int:
+    def _equivocated(self, node_id: int, honest_value: int, ranked: List[int]) -> int:
         """Fast-path analogue of ``Node._equivocated_value``.
 
         The DES draws from the node's stream over proposals in *arrival*
         order; the fast path has no arrival order, so it draws from a
-        dedicated stream over proposals in priority order — statistically
-        equivalent, never bit-matched (documented approximation).
+        dedicated stream over proposals in priority order (``ranked``
+        candidate indices) — statistically equivalent, never bit-matched
+        (documented approximation).
         """
-        options = [EMPTY_HASH, honest_value] + [
-            p.block_hash for p in sorted(proposals, key=lambda p: (p.priority, p.block_hash))
-        ]
-        return self._equiv_rngs[node_id].choice(options)
+        return self._equiv_rngs[node_id].choice([0, honest_value] + ranked)
 
     def _tally(
         self,
-        step_votes: Sequence[Tuple[int, int, int, int]],
+        ballots: Sequence[_Ballots],
         step: int,
         hops: np.ndarray,
-        candidates: List[int],
-        value_index: Dict[int, int],
+        n_candidates: int,
         needed: float,
-    ) -> List[Optional[int]]:
+    ) -> np.ndarray:
         """Per-node CountVotes for one step, as one array reduction.
 
-        Accumulates, for every receiving node, the sub-user weight of each
-        candidate value over the votes whose hop distance fits the travel
-        windows between cast and tally deadlines, then applies the shared
-        :func:`resolve_quorum` rule (vectorized: candidates are ordered
-        ascending, so the first argmax reproduces the smallest-value
-        tie-break exactly).
+        A vote reaches a node iff its hop distance fits the travel windows
+        between its cast deadline and this tally's (one hop budget per
+        distinct cast deadline).  The reach matrix times the weighted
+        one-hot vote matrix is every node's weight per candidate; the
+        weights are integers, so the float sums are exact in any order.
+        The vectorized :func:`resolve_quorum` rule then picks each node's
+        winner (candidates are ordered ascending, so the first argmax
+        reproduces the smallest-value tie-break exactly), ``-1`` on timeout.
         """
         n = self.config.n_nodes
-        if not step_votes:
-            return [None] * n
+        if not ballots:
+            return np.full(n, -1, dtype=np.int64)
         config = self.config
-        tally = np.zeros((n, len(candidates)))
-        for sender, weight, value, cast_index in step_votes:
-            windows = step - cast_index
-            budget = self.latency.hop_budget(windows * config.step_timeout, config)
-            reach = hops[sender] <= budget
-            tally[reach, value_index[value]] += weight
+        budget_of = {
+            cast: self.latency.hop_budget((step - cast) * config.step_timeout, config)
+            for cast in {b.cast_index for b in ballots}
+        }
+        senders = np.concatenate([b.senders for b in ballots])
+        values = np.concatenate([b.values for b in ballots])
+        sizes = [len(b.senders) for b in ballots]
+        budgets = np.repeat([budget_of[b.cast_index] for b in ballots], sizes)
+        weighted = np.zeros((len(senders), n_candidates))
+        weighted[np.arange(len(senders)), values] = np.concatenate(
+            [b.weights for b in ballots]
+        )
+        reach = hops[senders] <= budgets[:, None]
+        tally = reach.T.astype(np.float64) @ weighted
         quorum = tally > needed
-        has_quorum = quorum.any(axis=1)
         winner = np.where(quorum, tally, -1.0).argmax(axis=1)
-        return [
-            candidates[int(winner[j])] if has_quorum[j] else None for j in range(n)
-        ]
+        return np.where(quorum.any(axis=1), winner, -1)
 
     # -- network ----------------------------------------------------------------
 
@@ -818,19 +954,18 @@ class FastSimulation:
         self,
         ctx: RoundContext,
         steps_used: int,
-        machines: Dict[int, ConsensusStateMachine],
+        concluded: np.ndarray,
+        candidates: List[int],
         registry: Dict[int, _Proposal],
-        proposals: List[_Proposal],
         proposed: set,
-        voted_any: set,
-        final_votes: List[Tuple[int, int, int, int]],
+        voted: np.ndarray,
+        final_votes: List[_Ballots],
         hops: np.ndarray,
     ) -> RoundRecord:
         config = self.config
-        n = config.n_nodes
 
         authoritative_value, authoritative_label = self._authoritative_outcome(
-            ctx, machines, registry, final_votes
+            ctx, concluded, candidates, registry, final_votes
         )
 
         # FINAL-vote tallies as seen by each node at extraction time: the
@@ -838,18 +973,8 @@ class FastSimulation:
         # vote cast at deadline c travels (steps_used + 1 - c) windows.
         extraction_index = steps_used + 1
         needed_final = config.t_final * config.tau_final
-        candidates = [EMPTY_HASH] + sorted(registry)
-        value_index = {value: k for k, value in enumerate(candidates)}
         final_counted = self._tally(
-            [
-                (sender, weight, value, cast_index)
-                for sender, weight, value, cast_index in final_votes
-            ],
-            extraction_index,
-            hops,
-            candidates,
-            value_index,
-            needed_final,
+            final_votes, extraction_index, hops, len(candidates), needed_final
         )
 
         # Blocks remain collectible until extraction: the whole round is
@@ -858,29 +983,31 @@ class FastSimulation:
         budget_fin = self.latency.hop_budget(window_fin, config)
         empty_seed = crypto.next_round_seed(ctx.sortition_seed, ctx.round_index)
         auth_tip = self.authoritative.tip().block_hash()
+        # Nodes on the same tip extend it with the same empty block.
+        empty_after: Dict[int, int] = {}
 
         n_final = n_tentative = n_none = 0
         n_concluded_empty = n_desynced = n_caught_up = 0
-        for i in self._online_ids:
-            machine = machines[i]
-            value = machine.concluded_value if machine.concluded else None
-            if value is None:
+        for i, k in zip(self._online_ids, concluded.tolist()):
+            if k < 0:
                 n_none += 1
                 continue
-            if value == EMPTY_HASH:
-                empty = make_empty_block(ctx.round_index, self._tips[i], empty_seed)
-                self._tips[i] = empty.block_hash()
+            if k == 0:
+                tip = self._tips[i]
+                empty = empty_after.get(tip)
+                if empty is None:
+                    block = make_empty_block(ctx.round_index, tip, empty_seed)
+                    empty = empty_after[tip] = block.block_hash()
+                self._tips[i] = empty
                 n_tentative += 1
                 n_concluded_empty += 1
                 continue
-            proposal = registry.get(value)
-            received = (
-                proposal is not None and hops[proposal.sender, i] <= budget_fin
-            )
-            if not received:
+            value = candidates[k]
+            proposal = registry[value]
+            if hops[proposal.sender, i] > budget_fin:
                 n_none += 1
                 continue
-            has_finality = final_counted[i] == value
+            has_finality = final_counted[i] == k
             parent_matches = proposal.block.previous_hash == self._tips[i]
             if has_finality:
                 n_final += 1
@@ -896,7 +1023,9 @@ class FastSimulation:
                 n_none += 1
                 n_desynced += 1
 
-        snapshot = self.role_snapshot(ctx.round_index, proposed, voted_any)
+        snapshot = self.role_snapshot(
+            ctx.round_index, proposed, set(np.flatnonzero(voted).tolist())
+        )
         reward_total = 0.0
         reward_params: Dict[str, float] = {}
         if self.mechanism is not None:
@@ -934,24 +1063,22 @@ class FastSimulation:
     def _authoritative_outcome(
         self,
         ctx: RoundContext,
-        machines: Dict[int, ConsensusStateMachine],
+        concluded: np.ndarray,
+        candidates: List[int],
         registry: Dict[int, _Proposal],
-        final_votes: List[Tuple[int, int, int, int]],
+        final_votes: List[_Ballots],
     ):
         """Ground truth, identical to the DES's omniscient observer."""
-        conclusions = Counter(
-            machine.concluded_value
-            for machine in machines.values()
-            if machine.concluded
-        )
-        if not conclusions:
+        done = concluded[concluded >= 0]
+        if not done.size:
             return None, ConsensusLabel.NONE
-        winner, _count = min(
-            conclusions.items(), key=lambda item: (-item[1], item[0])
-        )
+        # Most conclusions wins; argmax takes the first maximum, and the
+        # candidates ascend, so ties go to the smallest value.
+        winner = candidates[int(np.bincount(done, minlength=len(candidates)).argmax())]
         weights: Dict[int, int] = {}
-        for _sender, weight, value, _cast in final_votes:
-            weights[value] = weights.get(value, 0) + weight
+        for ballots in final_votes:
+            for k, weight in zip(ballots.values.tolist(), ballots.weights.tolist()):
+                weights[candidates[k]] = weights.get(candidates[k], 0) + weight
         final_tally = resolve_quorum(weights, ctx.tau_final, ctx.t_final)
         if winner == EMPTY_HASH:
             block = make_empty_block(
@@ -961,11 +1088,8 @@ class FastSimulation:
             )
             self.authoritative.append(block, ConsensusLabel.TENTATIVE)
             return EMPTY_HASH, ConsensusLabel.TENTATIVE
-        proposal = registry.get(winner)
-        if (
-            proposal is None
-            or proposal.block.previous_hash != self.authoritative.tip().block_hash()
-        ):
+        proposal = registry[winner]
+        if proposal.block.previous_hash != self.authoritative.tip().block_hash():
             return winner, ConsensusLabel.NONE
         label = (
             ConsensusLabel.FINAL if final_tally == winner else ConsensusLabel.TENTATIVE
