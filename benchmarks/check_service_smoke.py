@@ -5,11 +5,13 @@ subprocess (ephemeral port, printed on stdout), then performs the whole
 API surface end to end —
 
 1. ``GET /healthz`` answers 200/ok;
-2. ``POST /v1/jobs`` with a small audit spec is accepted (202);
+2. ``POST /v1/jobs`` with a small job of each kind (``audit``,
+   ``dynamics``, ``scenarios``, ``tournament``) is accepted (202);
 3. polling ``GET /v1/jobs/{id}`` reaches ``done``;
 4. ``GET /v1/jobs/{id}/result`` returns the payload, byte-identical to
-   the same spec run through the CLI path (``scale.audit.json``);
-5. a **repeat submission answers 200 with ``memoized: true``** and
+   the same params run through the CLI path (``scale.audit.json``,
+   ``dynamics.json``, ``scenarios.json``, ``tournament.json``);
+5. a **repeat audit submission answers 200 with ``memoized: true``** and
    serves the same bytes — the memo cache works across requests;
 6. bad requests (unknown scheme, malformed JSON) answer structured
    400s and the service keeps serving;
@@ -38,8 +40,21 @@ from typing import Dict, Optional, Tuple
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: The audit spec the session submits (and the CLI comparison runs).
-AUDIT_PARAMS = {"agents": 2000, "schemes": ["foundation", "role_based"]}
+#: One small job per kind the session submits, and the ``run_experiment``
+#: flags of the same computation at ``--scale small``.
+JOBS = {
+    "audit": (
+        {"agents": 2000, "schemes": ["foundation", "role_based"]},
+        {"agents": 2000, "schemes": ("foundation", "role_based")},
+    ),
+    "dynamics": (
+        {"name": "dynamics-small", "agents": 8192, "epochs": 2},
+        {"agents": 8192, "epochs": 2},
+    ),
+    "scenarios": ({}, {}),
+    "tournament": ({}, {}),
+}
+AUDIT_PARAMS = JOBS["audit"][0]
 
 
 def fail(message: str) -> None:
@@ -69,13 +84,15 @@ def request(
         conn.close()
 
 
-def submit(port: int, params: Dict[str, object]) -> Tuple[int, Dict[str, object]]:
-    """POST one audit job; return (status, decoded body)."""
+def submit(
+    port: int, params: Dict[str, object], kind: str = "audit"
+) -> Tuple[int, Dict[str, object]]:
+    """POST one job; return (status, decoded body)."""
     status, _, body = request(
         port,
         "POST",
         "/v1/jobs",
-        body=json.dumps({"kind": "audit", "params": params}).encode(),
+        body=json.dumps({"kind": kind, "params": params}).encode(),
         headers={"Content-Type": "application/json", "X-Client-Id": "ci-smoke"},
     )
     return status, json.loads(body)
@@ -96,20 +113,20 @@ def poll(port: int, job_id: str, timeout_s: float = 120.0) -> Dict[str, object]:
         time.sleep(0.2)
 
 
-def cli_reference_bytes() -> bytes:
-    """Run the same spec through the CLI path; return scale.audit.json."""
+def cli_reference_bytes(kind: str) -> bytes:
+    """Run one kind's job through the CLI path; return its payload file."""
+    from repro.analysis.kinds import KINDS
     from repro.analysis.runner import run_experiment
 
     with tempfile.TemporaryDirectory() as tmp:
         run_experiment(
-            "scale",
+            KINDS[kind].experiment,
             scale="small",
             out=Path(tmp),
             workers=1,
-            agents=AUDIT_PARAMS["agents"],
-            schemes=tuple(AUDIT_PARAMS["schemes"]),
+            **JOBS[kind][1],
         )
-        return (Path(tmp) / "scale.audit.json").read_bytes()
+        return (Path(tmp) / KINDS[kind].artifact).read_bytes()
 
 
 def main() -> int:
@@ -147,24 +164,27 @@ def main() -> int:
             fail(f"/healthz answered {status}: {body!r}")
         print("healthz: ok")
 
-        status, first = submit(port, AUDIT_PARAMS)
-        if status != 202:
-            fail(f"first submission answered {status}: {first}")
-        job = poll(port, first["job"]["id"])
-        if job["state"] != "done":
-            fail(f"audit job failed: {job.get('error')}")
-        status, _, served = request(port, "GET", f"/v1/jobs/{job['id']}/result")
-        if status != 200:
-            fail(f"result fetch answered {status}")
-        print(f"audit served: {len(served)} bytes")
-
-        reference = cli_reference_bytes()
-        if served != reference:
-            fail(
-                "served result differs from the CLI's scale.audit.json "
-                f"({len(served)} vs {len(reference)} bytes)"
+        served: Dict[str, bytes] = {}
+        for kind, (params, _) in JOBS.items():
+            status, first = submit(port, params, kind)
+            if status != 202:
+                fail(f"first {kind} submission answered {status}: {first}")
+            job = poll(port, first["job"]["id"])
+            if job["state"] != "done":
+                fail(f"{kind} job failed: {job.get('error')}")
+            status, _, result = request(
+                port, "GET", f"/v1/jobs/{job['id']}/result"
             )
-        print("byte-identity vs CLI: ok")
+            if status != 200:
+                fail(f"{kind} result fetch answered {status}")
+            reference = cli_reference_bytes(kind)
+            if result != reference:
+                fail(
+                    f"served {kind} result differs from the CLI's payload file "
+                    f"({len(result)} vs {len(reference)} bytes)"
+                )
+            print(f"{kind} served: {len(result)} bytes, byte-identical to the CLI")
+            served[kind] = result
 
         status, repeat = submit(port, AUDIT_PARAMS)
         if status != 200 or not repeat["job"]["memoized"]:
@@ -172,7 +192,7 @@ def main() -> int:
         status, _, repeat_bytes = request(
             port, "GET", f"/v1/jobs/{repeat['job']['id']}/result"
         )
-        if repeat_bytes != served:
+        if repeat_bytes != served["audit"]:
             fail("memoized result differs from the original bytes")
         print("memo cache on repeat submission: ok")
 

@@ -75,11 +75,13 @@ import json
 import signal
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Type, Union
 
 from repro.analysis.defection import DefectionExperimentConfig, run_defection_experiment
+from repro.analysis.kinds import KINDS, JobContext, KindParams, payload_json
 from repro.analysis.orchestrator import configure_progress_logging
 from repro.analysis.retry import ON_ERROR_MODES, ExecutionPolicy, RetryPolicy
 from repro.analysis.reward_comparison import (
@@ -100,39 +102,60 @@ from repro.telemetry import (
     to_prometheus_text,
 )
 
-#: Per-scale experiment parameters: (fig3 runs/rounds/nodes, fig6 instances,
-#: scenario campaign shape (players, epochs, replications, simulated rounds),
-#: tournament shape (players, epochs, replications, simulated rounds),
-#: population-scale audit size (agents)).
+#: Per-scale experiment parameters: fig3 runs/rounds/nodes, fig6
+#: instances, fig5 surface nodes, and per experiment kind
+#: (:mod:`repro.analysis.kinds`) the fields that differ from the kind's
+#: defaults, which are the small preset.
 _SCALES = {
     "small": {
         "fig3": (2, 6, 40),
         "instances": 2,
         "surface_nodes": 50_000,
-        "scenarios": (28, 10, 2, 2),
-        "tournament": (24, 8, 1, 1),
-        "scale_agents": 20_000,
-        "dynamics": (24_576, 6),
+        "scenarios": {},
+        "tournament": {},
+        "scale": {},
+        "dynamics": {"name": "dynamics-small"},
     },
     "bench": {
         "fig3": (3, 12, 60),
         "instances": 8,
         "surface_nodes": 500_000,
-        "scenarios": (48, 16, 4, 2),
-        "tournament": (32, 12, 2, 2),
-        "scale_agents": 1_000_000,
-        "dynamics": (1_000_000, 20),
+        "scenarios": {"players": 48, "epochs": 16, "replications": 4},
+        "tournament": {
+            "players": 32,
+            "epochs": 12,
+            "replications": 2,
+            "simulate_rounds": 2,
+        },
+        "scale": {"agents": 1_000_000},
+        "dynamics": {"name": "dynamics-bench", "agents": 1_000_000, "epochs": 20},
     },
     "paper": {
         "fig3": (100, 60, 100),
         "instances": 200,
         "surface_nodes": 500_000,
-        "scenarios": (80, 30, 10, 4),
-        "tournament": (64, 24, 6, 2),
-        "scale_agents": 10_000_000,
-        "dynamics": (10_000_000, 30),
+        "scenarios": {
+            "players": 80,
+            "epochs": 30,
+            "replications": 10,
+            "simulate_rounds": 4,
+        },
+        "tournament": {
+            "players": 64,
+            "epochs": 24,
+            "replications": 6,
+            "simulate_rounds": 2,
+        },
+        "scale": {"agents": 10_000_000},
+        "dynamics": {"name": "dynamics-paper", "agents": 10_000_000, "epochs": 30},
     },
 }
+
+#: The kind-field flags ``run_experiment`` takes by name besides ``seed``
+#: and ``backend`` (``--agents``, ``--scheme``, ``--family-param`` ...).
+_KIND_FLAGS = frozenset(
+    name for kind in KINDS.values() for name in kind.flags()
+) - {"seed", "backend"}
 
 
 @dataclass(frozen=True)
@@ -153,30 +176,16 @@ class RunOptions:
     cache_dir: Optional[Path] = None
     progress: bool = False
     backend: Optional[str] = None
-    #: Population-scale (``scale`` experiment) knobs; other experiments
-    #: ignore them.  ``agents=None`` uses the ``--scale`` preset;
-    #: ``family_params`` holds raw ``key=value`` strings from
-    #: ``--family-param`` (values parsed as JSON where possible).
-    family: str = "zipf"
-    family_params: tuple = ()
-    agents: Optional[int] = None
-    chunk_agents: Optional[int] = None
-    dtype: str = "float64"
-    schemes: tuple = ()
-    #: Epoch count for the ``dynamics`` experiment (``None`` = preset).
-    epochs: Optional[int] = None
-    #: Audit grid axes for the ``scale`` (fused verdict tensor) and
-    #: ``tournament`` (league audit operating points) experiments,
-    #: from repeatable ``--budget-multiplier`` / ``--cost-scale`` flags;
-    #: empty means each experiment's single default cell.
-    budget_multipliers: tuple = ()
-    cost_scales: tuple = ()
     #: Robustness envelope for the sharded experiments — retries,
     #: per-shard timeout, sweep deadline, partial mode, fault injection
     #: (from ``--max-retries`` / ``--shard-timeout`` / ``--deadline`` /
     #: ``--on-error`` / ``--inject-faults``).  ``None`` keeps the
     #: fail-fast default; the analytic experiments ignore it.
     policy: Optional[ExecutionPolicy] = None
+    #: Kind-field flag values by field name (see ``_KIND_FLAGS``);
+    #: ``None`` or empty means "not given", and each experiment kind
+    #: reads only the flags in its ``flags()``.
+    flags: Mapping[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -286,76 +295,6 @@ def _run_fig7c(options: RunOptions) -> ExperimentOutcome:
     return ExperimentOutcome("fig7c", result.render(), csv_path)
 
 
-def _run_scenarios(options: RunOptions) -> ExperimentOutcome:
-    from repro.scenarios import ScenarioCampaignConfig, run_scenarios_campaign
-
-    n_players, n_epochs, n_replications, simulate_rounds = _SCALES[options.scale][
-        "scenarios"
-    ]
-    config = ScenarioCampaignConfig(
-        n_replications=n_replications,
-        n_players=n_players,
-        n_epochs=n_epochs,
-        simulate_rounds=simulate_rounds,
-        backend=options.backend,
-    )
-    if options.seed is not None:
-        config = replace(config, seed=options.seed)
-    result = run_scenarios_campaign(
-        config,
-        workers=options.workers,
-        cache_dir=options.cache_dir,
-        progress=options.progress,
-        policy=options.policy,
-    )
-    csv_path = _csv_path(options, "scenarios.csv")
-    if csv_path is not None:
-        result.to_csv(csv_path)
-    return ExperimentOutcome("scenarios", result.render(), csv_path)
-
-
-def _run_tournament(options: RunOptions) -> ExperimentOutcome:
-    from repro.schemes.tournament import (
-        TOURNAMENT_AUDIT,
-        TournamentConfig,
-        run_tournament,
-    )
-
-    n_players, n_epochs, n_replications, simulate_rounds = _SCALES[options.scale][
-        "tournament"
-    ]
-    # Grid flags widen the league's audit operating points: every scheme
-    # must stay epsilon-IC at *all* requested (budget, cost-scale) cells
-    # to keep its IC margin.
-    audit = TOURNAMENT_AUDIT
-    if options.budget_multipliers:
-        audit = replace(audit, budget_multipliers=tuple(options.budget_multipliers))
-    if options.cost_scales:
-        audit = replace(audit, cost_scales=tuple(options.cost_scales))
-    config = TournamentConfig(
-        n_replications=n_replications,
-        n_players=n_players,
-        n_epochs=n_epochs,
-        simulate_rounds=simulate_rounds,
-        backend=options.backend,
-        audit=audit,
-    )
-    if options.seed is not None:
-        config = replace(config, seed=options.seed)
-    result = run_tournament(
-        config,
-        workers=options.workers,
-        cache_dir=options.cache_dir,
-        progress=options.progress,
-        policy=options.policy,
-    )
-    csv_path = _csv_path(options, "tournament.csv")
-    if csv_path is not None:
-        result.to_csv(csv_path)
-        result.to_markdown(csv_path.with_suffix(".md"))
-    return ExperimentOutcome("tournament", result.render(), csv_path)
-
-
 def _parse_family_params(raw: tuple) -> Dict[str, object]:
     """Parse ``--family-param key=value`` pairs into a parameter dict.
 
@@ -377,120 +316,44 @@ def _parse_family_params(raw: tuple) -> Dict[str, object]:
     return params
 
 
-def _run_scale(options: RunOptions) -> ExperimentOutcome:
-    """The ``scale`` experiment: population-scale audits of every scheme.
+def kind_params(kind: Type[KindParams], scale: str, **flags: Any) -> KindParams:
+    """One experiment kind's params as the CLI builds them.
 
-    Streams a population of ``--agents`` agents (default: the ``--scale``
-    preset — 20k small, 10^6 bench, 10^7 paper) from the ``--family``
-    generator, audits each requested scheme chunk by chunk in O(chunk)
-    memory, samples a sortition committee from the same stream, and
-    renders the BENCH_scale-style table.  Repeatable
-    ``--budget-multiplier`` / ``--cost-scale`` flags widen the audit
-    into a fused grid: one streamed pass emits the whole
-    (scheme x budget x cost-scale) verdict tensor.  With ``--out``,
-    writes ``scale.csv``, the machine-readable ``scale.json``, and
-    ``scale.audit.json`` — the timing-free audit payload that is
-    byte-identical to what the audit service serves for the same spec
-    (see ``docs/service.md``).
+    ``--scale`` picks the preset, and every given flag in ``kind.flags()``
+    (``None`` and empty mean "not given") overrides it by field name.
+    Raises :class:`~repro.errors.ConfigurationError` on a bad value.
     """
-    from repro.analysis.scale import ScaleConfig, run_scale
+    values = dict(_SCALES[scale][kind.experiment])
+    for name in kind.flags():
+        if flags.get(name) not in (None, ()):
+            values[name] = flags[name]
+    if "family_params" in values:
+        values["family_params"] = _parse_family_params(values["family_params"])
+    return kind(**values)
 
-    config = ScaleConfig(
-        family=options.family,
-        family_params=_parse_family_params(options.family_params),
-        n_agents=(
-            options.agents
-            if options.agents is not None
-            else _SCALES[options.scale]["scale_agents"]
-        ),
-        schemes=tuple(options.schemes),
-        chunk_agents=options.chunk_agents,
-        dtype=options.dtype,
-        budget_multipliers=tuple(options.budget_multipliers),
-        cost_scales=tuple(options.cost_scales),
+
+def _run_kind(kind: Type[KindParams], options: RunOptions) -> ExperimentOutcome:
+    """Run one experiment kind; with ``--out``, also write its payload file."""
+    params = kind_params(
+        kind,
+        options.scale,
+        seed=options.seed,
+        backend=options.backend,
+        **options.flags,
     )
-    if options.seed is not None:
-        config = replace(config, seed=options.seed)
-    result = run_scale(config)
-    csv_path = _csv_path(options, "scale.csv")
+    result = params.run(
+        JobContext(
+            workers=options.workers,
+            cache_dir=options.cache_dir,
+            policy=options.policy,
+            progress=options.progress,
+        )
+    )
+    csv_path = _csv_path(options, f"{kind.experiment}.csv")
     if csv_path is not None:
-        result.to_csv(csv_path)
-        csv_path.with_suffix(".json").write_text(
-            json.dumps(result.to_payload(), indent=2, sort_keys=True)
-        )
-        csv_path.with_name("scale.audit.json").write_text(
-            json.dumps(result.audit_payload(), indent=2, sort_keys=True)
-        )
-    return ExperimentOutcome("scale", result.render(), csv_path)
-
-
-def _run_dynamics(options: RunOptions) -> ExperimentOutcome:
-    """The ``dynamics`` experiment: streamed Section V epochs at scale.
-
-    Evolves one ``--agents``-sized population (default: the ``--scale``
-    preset — 24576 small, 10^6 bench, 10^7 paper) through ``--epochs``
-    streamed replicator epochs under each requested scheme (default:
-    foundation vs role_based), in O(chunk) memory, and renders the
-    defection-share trajectories plus a stability verdict table.  With
-    ``--out``, writes ``dynamics.csv`` and the machine-readable
-    ``dynamics.json`` (the trajectory payloads, byte-identical at any
-    ``--chunk-agents`` value).
-    """
-    from repro.populations.arrays import DEFAULT_CHUNK_AGENTS
-    from repro.populations.spec import PopulationSpec
-    from repro.scenarios.population_dynamics import (
-        PopulationDynamicsSpec,
-        dynamics_to_csv,
-        render_dynamics_trajectories,
-        run_population_dynamics_campaign,
-    )
-
-    agents, epochs = _SCALES[options.scale]["dynamics"]
-    seed = options.seed if options.seed is not None else 2021
-    population = PopulationSpec(
-        family=options.family,
-        size=options.agents if options.agents is not None else agents,
-        params=_parse_family_params(options.family_params),
-        cooperation=0.9,
-        dtype=options.dtype,
-        seed=seed,
-    )
-    spec = PopulationDynamicsSpec(
-        name=f"dynamics-{options.scale}",
-        population=population,
-        n_epochs=options.epochs if options.epochs is not None else epochs,
-        chunk_agents=(
-            options.chunk_agents
-            if options.chunk_agents is not None
-            else DEFAULT_CHUNK_AGENTS
-        ),
-    )
-    schemes = tuple(options.schemes) or ("foundation", "role_based")
-    trajectories = run_population_dynamics_campaign(
-        [spec],
-        schemes,
-        seed=seed,
-        workers=options.workers,
-        cache_dir=options.cache_dir,
-        progress=options.progress,
-        policy=options.policy,
-    )
-    csv_path = _csv_path(options, "dynamics.csv")
-    if csv_path is not None:
-        dynamics_to_csv(trajectories, csv_path)
-        csv_path.with_suffix(".json").write_text(
-            json.dumps(
-                {
-                    f"{name}/{scheme}": trajectory.to_payload()
-                    for (name, scheme), trajectory in trajectories.items()
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    return ExperimentOutcome(
-        "dynamics", render_dynamics_trajectories(trajectories), csv_path
-    )
+        kind.write(result, csv_path)
+        (options.out / kind.artifact).write_text(payload_json(kind.payload(result)))
+    return ExperimentOutcome(kind.experiment, kind.render(result), csv_path)
 
 
 EXPERIMENTS: Dict[str, Callable[[RunOptions], ExperimentOutcome]] = {
@@ -500,10 +363,7 @@ EXPERIMENTS: Dict[str, Callable[[RunOptions], ExperimentOutcome]] = {
     "fig5": _run_fig5,
     "fig6": _run_fig6,
     "fig7c": _run_fig7c,
-    "scenarios": _run_scenarios,
-    "tournament": _run_tournament,
-    "scale": _run_scale,
-    "dynamics": _run_dynamics,
+    **{kind.experiment: partial(_run_kind, kind) for kind in KINDS.values()},
 }
 
 
@@ -516,18 +376,18 @@ def run_experiment(
     cache_dir: Optional[Path] = None,
     progress: bool = False,
     backend: Optional[str] = None,
-    family: str = "zipf",
-    family_params: tuple = (),
-    agents: Optional[int] = None,
-    chunk_agents: Optional[int] = None,
-    dtype: str = "float64",
-    schemes: tuple = (),
-    epochs: Optional[int] = None,
-    budget_multipliers: tuple = (),
-    cost_scales: tuple = (),
     policy: Optional[ExecutionPolicy] = None,
+    **flags: Any,
 ) -> ExperimentOutcome:
-    """Run one registered experiment by name."""
+    """Run one registered experiment by name.
+
+    ``flags`` are the kind-field flags by field name (``agents=...``,
+    ``schemes=(...)``, ``family_params=("key=value", ...)``); experiments
+    they do not reach ignore them.
+    """
+    unknown = sorted(set(flags) - _KIND_FLAGS)
+    if unknown:
+        raise TypeError(f"run_experiment() got unexpected flag(s): {unknown}")
     if name not in EXPERIMENTS:
         raise ConfigurationError(
             f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)} or 'all'"
@@ -550,16 +410,8 @@ def run_experiment(
         cache_dir=cache_dir,
         progress=progress,
         backend=backend,
-        family=family,
-        family_params=family_params,
-        agents=agents,
-        chunk_agents=chunk_agents,
-        dtype=dtype,
-        schemes=schemes,
-        epochs=epochs,
-        budget_multipliers=budget_multipliers,
-        cost_scales=cost_scales,
         policy=policy,
+        flags=flags,
     )
     return EXPERIMENTS[name](options)
 
@@ -941,9 +793,12 @@ def main(argv=None) -> int:
 
     if args.max_retries < 0:
         parser.error("--max-retries must be >= 0")
-    fault_plan = (
-        FaultPlan.from_source(args.inject_faults) if args.inject_faults else None
-    )
+    try:
+        fault_plan = (
+            FaultPlan.from_source(args.inject_faults) if args.inject_faults else None
+        )
+    except ConfigurationError as error:
+        parser.error(str(error))
     policy: Optional[ExecutionPolicy] = None
     if (
         args.max_retries
@@ -1011,22 +866,8 @@ def main(argv=None) -> int:
                     cache_dir=args.cache_dir,
                     progress=not args.no_progress,
                     backend=args.backend,
-                    family=args.family,
-                    family_params=(
-                        tuple(args.family_params) if args.family_params else ()
-                    ),
-                    agents=args.agents,
-                    chunk_agents=args.chunk_agents,
-                    dtype=args.dtype,
-                    schemes=tuple(args.schemes) if args.schemes else (),
-                    epochs=args.epochs,
-                    budget_multipliers=(
-                        tuple(args.budget_multipliers)
-                        if args.budget_multipliers
-                        else ()
-                    ),
-                    cost_scales=tuple(args.cost_scales) if args.cost_scales else (),
                     policy=policy,
+                    **{flag: getattr(args, flag) for flag in _KIND_FLAGS},
                 )
             timings[name] = time.perf_counter() - started
             print(f"=== {outcome.name} ===")
@@ -1034,6 +875,8 @@ def main(argv=None) -> int:
             if outcome.csv_path is not None:
                 print(f"[data written to {outcome.csv_path}]")
             print()
+    except ConfigurationError as error:
+        parser.error(str(error))  # a bad flag value: usage error, exit 2
     except KeyboardInterrupt:
         # The orchestrator's pool loop has already terminated its workers
         # on the way out; report a resumable-partial summary instead of a
@@ -1075,7 +918,7 @@ def main(argv=None) -> int:
         }
         if snapshot is not None:
             payload["telemetry"] = snapshot
-        args.timings_json.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        args.timings_json.write_text(payload_json(payload))
         print(f"[timings written to {args.timings_json}]")
     if args.telemetry_json is not None:
         args.telemetry_json.parent.mkdir(parents=True, exist_ok=True)

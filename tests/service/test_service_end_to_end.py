@@ -1,9 +1,9 @@
 """Black-box end-to-end: the served result is byte-identical to the CLI's.
 
-The acceptance criterion of the service layer: submitting an audit spec
-over HTTP and running the same spec through ``repro-runner scale`` must
-produce **the same bytes** — same deterministic payload, same
-serialization.  Plus the plain functional loop every client performs:
+The acceptance criterion of the service layer: submitting a job over
+HTTP and running the same params through ``repro-runner`` must produce
+**the same bytes** — same deterministic payload, same serialization —
+for every job kind.  Plus the plain functional loop every client performs:
 submit -> 202, poll -> done, fetch result, scrape ``/metrics`` (linted)
 and ``/healthz``.
 """
@@ -50,7 +50,14 @@ class TestByteIdentity:
         served_bytes = harness.result(job["id"])
         assert served_bytes == cli_bytes
 
-    def test_served_dynamics_equals_cli_dynamics(self, harness, tmp_path):
+    # zipf stakes are exact in float32, so the float32 case uses a family
+    # whose float32 trajectories differ from the float64 ones.
+    @pytest.mark.parametrize(
+        "dtype, family", [("float64", "zipf"), ("float32", "lognormal")]
+    )
+    def test_served_dynamics_equals_cli_dynamics(
+        self, harness, tmp_path, dtype, family
+    ):
         from repro.analysis.runner import run_experiment
 
         run_experiment(
@@ -61,6 +68,8 @@ class TestByteIdentity:
             agents=8192,
             epochs=2,
             schemes=("role_based",),
+            dtype=dtype,
+            family=family,
         )
         cli_bytes = (tmp_path / "dynamics.json").read_bytes()
 
@@ -71,8 +80,24 @@ class TestByteIdentity:
                 "agents": 8192,
                 "epochs": 2,
                 "schemes": ["role_based"],
+                "dtype": dtype,
+                "family": family,
             },
         )
+        assert status in (200, 202)
+        job = harness.poll(body["job"]["id"])
+        assert job["state"] == "done"
+        assert harness.result(job["id"]) == cli_bytes
+
+    @pytest.mark.parametrize("kind", ["scenarios", "tournament"])
+    def test_served_campaign_equals_cli_campaign(self, harness, tmp_path, kind):
+        """A default job is the ``--scale small`` run, down to the bytes."""
+        from repro.analysis.runner import run_experiment
+
+        run_experiment(kind, scale="small", out=tmp_path, workers=1)
+        cli_bytes = (tmp_path / f"{kind}.json").read_bytes()
+
+        status, body = harness.submit(kind, {})
         assert status in (200, 202)
         job = harness.poll(body["job"]["id"])
         assert job["state"] == "done"
